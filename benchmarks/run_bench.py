@@ -26,11 +26,11 @@ stage set:
   (array fill/lookup, a full L-NUCA miss search, trace generation, the
   scenario engine's vectorized-vs-scalar-vs-legacy synthesis, binary
   trace capture/replay, the repeated-sweep micro comparing the plan
-  layer's snapshot+pool and warm-cache paths against the direct path,
+  layer's pool+memo and warm-cache paths against the direct path,
   the store-vs-cache micro holding the SQLite result store's warm
   hit path and raw query throughput against the cache tier, and the
-  parallel-sweep micro A/B-ing the persistent worker pool plus shared
-  snapshot blobs against the historical fork-per-sweep path);
+  parallel-sweep micro A/B-ing the persistent worker pool against the
+  historical fork-per-sweep path);
 * ``fig4_sweep`` — the bench-sized Fig. 4 sweep (sizes from
   ``benchmarks/conftest.py``) in dense and event mode, with a
   bit-identical-stats assertion between the two;
@@ -214,8 +214,9 @@ def micro_sweep_cached(repeat, instructions=2000):
 
     * ``direct`` — fresh build, per-job prewarm, per-job synthesis (the
       historical per-sweep cost, the PR 3 baseline behaviour);
-    * ``plan`` — trace-pool replay plus prewarm-snapshot cloning (warm
-      pool/store, result cache off);
+    * ``plan`` — trace-pool replay and the in-process trace memo (warm
+      pool, result cache off; every (system, workload) pair occurs once
+      per sweep, so no prewarm snapshot is taken);
     * ``cached`` — warm content-addressed result cache: zero simulation.
 
     Besides the full-sweep walls, the stage isolates the *setup* phase the
@@ -247,8 +248,7 @@ def micro_sweep_cached(repeat, instructions=2000):
             cached = lambda: plan_module.execute(compiled(), pool=pool, cache=cache).results  # noqa: E731
 
             baseline = direct()
-            plan_module._SNAPSHOT_BLOBS.clear()
-            fast()  # warm the pool and the snapshot store once
+            fast()  # warm the pool and the trace memo once
             # The two paths differ by ~10% while this box's wall clock
             # drifts by a comparable amount over seconds; interleaving the
             # best-of rounds (A/B per round instead of all-A then all-B)
@@ -263,8 +263,8 @@ def micro_sweep_cached(repeat, instructions=2000):
             cached()  # warm the result cache
             cached_wall, cached_results = _best_of(max(repeat, 5), cached)
 
-            # Setup-only phase: what the snapshot store and trace memo
-            # replace, isolated from the (dominant) simulation time.
+            # Setup-only phase: what the trace memo replaces, isolated
+            # from the (dominant) simulation time.
             def direct_setup():
                 traces = {
                     spec.name: compiled_plan.traces[spec.name].build() for spec in specs
@@ -283,17 +283,12 @@ def micro_sweep_cached(repeat, instructions=2000):
                     if trace is None:
                         trace = source.build()
                         plan_module._TRACE_MEMO[memo_key] = trace
-                    builder = builders[job.system]
                     plan_module._prewarmed_system(
-                        builder,
-                        trace,
-                        (builder.digest(), plan_module.trace_digest(trace)),
-                        {},
-                        scratch,
+                        builders[job.system], trace, None, {}, scratch
                     )
 
             compiled_plan = compiled()
-            plan_setup()  # warm the memo and snapshot store
+            plan_setup()  # warm the memo
             direct_setup_wall = plan_setup_wall = None
             for _ in range(max(repeat, 5)):
                 wall, _ = _best_of(1, direct_setup)
@@ -305,7 +300,7 @@ def micro_sweep_cached(repeat, instructions=2000):
                     wall if plan_setup_wall is None else min(plan_setup_wall, wall)
                 )
         if not _results_identical(baseline, plan_results):
-            raise AssertionError("snapshot+pool sweep diverged from direct — plan bug")
+            raise AssertionError("pool+memo sweep diverged from direct — plan bug")
         if not _results_identical(baseline, cached_results):
             raise AssertionError("cached sweep diverged from direct — plan bug")
     finally:
@@ -422,12 +417,10 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
     """Shared-state parallel execution vs the fork-per-sweep path, A/B.
 
     The persistent-pool leg (A) runs ``--workers N`` sweeps on pooled
-    workers that share prewarm snapshots through the on-disk
-    :class:`~repro.sim.plan.SnapshotStore` and pooled traces through
-    ``mmap``; the fork-per-sweep leg (B) disables both
-    (``REPRO_NO_POOL=1`` + ``REPRO_NO_SNAPSHOT_STORE=1``), reproducing
-    the historical per-sweep behaviour: every sweep forks fresh workers
-    and every worker re-prewarms privately.  Rounds are interleaved
+    workers that keep their decoded traces warm across sweeps and share
+    pooled traces through ``mmap``; the fork-per-sweep leg (B) disables
+    reuse (``REPRO_NO_POOL=1``), reproducing the historical per-sweep
+    behaviour: every sweep forks fresh workers.  Rounds are interleaved
     (A/B per round) to cancel wall-clock drift, the result cache is
     wiped before every round so each run actually simulates, and both
     legs are asserted bit-identical to the sequential reference.
@@ -463,13 +456,9 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
 
             def fresh_round():
                 # Each timed run must simulate: drop the result tier but
-                # keep the snapshot blobs and pooled traces (the state
-                # under test), and drop the in-process snapshot L1 the
-                # next fork would inherit.
+                # keep the pooled traces (the state under test).
                 shutil.rmtree(results_dir, ignore_errors=True)
-                plan_module._SNAPSHOT_BLOBS.clear()
 
-            plan_module._SNAPSHOT_BLOBS.clear()
             baseline = plan_module.execute(compiled(builders)).results
 
             def pooled():
@@ -479,30 +468,16 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
 
             def fork_per_sweep():
                 os.environ["REPRO_NO_POOL"] = "1"
-                os.environ["REPRO_NO_SNAPSHOT_STORE"] = "1"
                 try:
                     return plan_module.execute(
                         compiled(builders), cache=cache, workers=workers
                     )
                 finally:
                     os.environ.pop("REPRO_NO_POOL", None)
-                    os.environ.pop("REPRO_NO_SNAPSHOT_STORE", None)
 
-            # Warm the snapshot store and trace pool, then prove the
-            # cross-process contract: a fresh worker re-prewarms nothing
-            # a sibling already prewarmed (disk hits, zero builds).
+            # Warm the trace pool and the worker pool once.
             fresh_round()
             pooled()
-            plan_module.shutdown_worker_pool()
-            fresh_round()
-            first = pooled()
-            if first.stats.snapshot_builds:
-                raise AssertionError(
-                    "fresh pool workers re-prewarmed despite the snapshot "
-                    "store — blob sharing bug"
-                )
-            if not first.stats.snapshot_disk_hits:
-                raise AssertionError("no snapshot disk hits — blob sharing bug")
 
             pooled_wall = fork_wall = None
             pooled_run = fork_run = None
@@ -578,295 +553,9 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
         "fork_per_sweep_wall_s": fork_wall,
         "pooled_speedup_vs_fork": fork_wall / pooled_wall,
         "pooled_jobs_per_s": runs / pooled_wall,
-        "snapshot_disk_hits_cold_pool": first.stats.snapshot_disk_hits,
         "sequential_sum_wall_s": sequential_sum,
         "concurrent_wall_s": concurrent_wall,
         "concurrent_vs_sum_ratio": concurrent_wall / sequential_sum,
-        "bit_identical": True,
-    }
-
-
-def micro_core_batch(repeat, instructions=5000):
-    """Span-batched core fast path: engine on vs force-disabled, interleaved.
-
-    Runs the ALU-heavy ``fma-unroll`` catalog scenario (long pure-ALU
-    spans — the workload class the span engine targets) on a warm
-    conventional hierarchy in event mode, A/B-ing the engine against the
-    per-cycle reference path (``REPRO_NO_SPAN_BATCH=1``).  The rounds are
-    interleaved (A/B per round, not all-A then all-B) to cancel this
-    box's wall-clock drift out of the comparison, and the two paths'
-    results are asserted bit-identical.
-
-    Two speedups are reported: **cold** — the first run, which computes
-    each span's schedule analytically and memoizes it on the trace — and
-    **warm** — later runs of the same trace, which replay the memoized
-    schedules in O(exit state) per span.  Warm is the sweep-service
-    number: every repeated run of a (system, workload) pair (A/B rounds,
-    repeated reports, the plan layer's re-executions) replays.
-    """
-    from repro.cpu.core import OoOCore
-    from repro.scenarios import build_trace, scenario
-    from repro.sim.configs import build_conventional_hierarchy
-    from repro.sim.runner import simulate
-
-    n = instructions * 10  # ALU-heavy spans need room; stays small in CI smoke
-    trace = build_trace(scenario("fma-unroll"), n)
-    trace.decoded()
-    resident = trace.resident_addresses()
-
-    def run(span_on):
-        if span_on:
-            os.environ.pop("REPRO_NO_SPAN_BATCH", None)
-        else:
-            os.environ["REPRO_NO_SPAN_BATCH"] = "1"
-        system = build_conventional_hierarchy()
-        system.prewarm(resident)
-        core = OoOCore(trace, system)
-        start = time.perf_counter()
-        simulate(core, mode="event")
-        return time.perf_counter() - start, core, system
-
-    pinned = os.environ.get("REPRO_NO_SPAN_BATCH")
-    try:
-        cold_wall, _, _ = run(True)  # first encounter: builds the span memo
-        span_wall = nospan_wall = None
-        for _ in range(max(repeat, 3)):
-            wall, span_core, span_system = run(True)
-            span_wall = wall if span_wall is None else min(span_wall, wall)
-            wall, ref_core, ref_system = run(False)
-            nospan_wall = wall if nospan_wall is None else min(nospan_wall, wall)
-    finally:
-        if pinned is None:
-            os.environ.pop("REPRO_NO_SPAN_BATCH", None)
-        else:
-            os.environ["REPRO_NO_SPAN_BATCH"] = pinned
-    if (
-        span_core.cycle != ref_core.cycle
-        or span_core.stats.as_dict() != ref_core.stats.as_dict()
-        or span_system.activity() != ref_system.activity()
-    ):
-        raise AssertionError("span-batched and per-cycle paths diverged — core bug")
-    if ref_core.span_hits or ref_core.span_bails:
-        raise AssertionError("REPRO_NO_SPAN_BATCH=1 still ran the span engine")
-    return {
-        "scenario": "fma-unroll",
-        "instructions": n,
-        "nospan_wall_s": nospan_wall,
-        "cold_wall_s": cold_wall,
-        "span_wall_s": span_wall,
-        "span_speedup_cold": nospan_wall / cold_wall,
-        "span_speedup_warm": nospan_wall / span_wall,
-        "span_instructions_per_s": n / span_wall,
-        "span_hits": span_core.span_hits,
-        "span_bails": span_core.span_bails,
-        "bit_identical": True,
-    }
-
-
-def micro_hier_batch(repeat, instructions=5000):
-    """Hierarchy span engine: engine on vs force-disabled, interleaved.
-
-    Runs a synthetic steady-state hit streak — fetch groups of one
-    L1-resident load plus three ALU ops, the memory-side sequence whose
-    closed form the hierarchy engine fast-forwards (``DESIGN.md`` §9,
-    pinned exactly by ``tests/test_hier_batch.py``) — on a warm
-    conventional hierarchy in event mode, A/B-ing against
-    ``REPRO_NO_HIER_BATCH=1``.  The reference leg keeps the pure-ALU span
-    engine *enabled*: loads break every ALU span, so this measures
-    precisely the marginal value of the memory-inclusive engine.  Rounds
-    are interleaved (A/B per round) to cancel wall-clock drift, and the
-    two paths' results are asserted bit-identical.
-
-    Cold builds the per-window schedules analytically and memoizes them
-    on the trace; warm replays them — the sweep-service number, as in
-    ``micro_core_batch``.
-    """
-    from repro.cpu.core import OoOCore
-    from repro.cpu.isa import Instruction, InstrClass
-    from repro.cpu.trace import Trace
-    from repro.sim.configs import build_conventional_hierarchy
-    from repro.sim.runner import simulate
-
-    n = instructions * 10
-    groups = max(n // 4, 8)
-    instrs = []
-    for _ in range(groups):
-        instrs.append(Instruction(InstrClass.LOAD, addr=64))
-        instrs.extend(Instruction(InstrClass.INT_ALU) for _ in range(3))
-    trace = Trace("hit-streak", "int", instrs)
-    trace.decoded()
-    resident = trace.resident_addresses()
-
-    def run(hier_on):
-        if hier_on:
-            os.environ.pop("REPRO_NO_HIER_BATCH", None)
-        else:
-            os.environ["REPRO_NO_HIER_BATCH"] = "1"
-        system = build_conventional_hierarchy()
-        system.prewarm(resident)
-        core = OoOCore(trace, system)
-        start = time.perf_counter()
-        simulate(core, mode="event")
-        return time.perf_counter() - start, core, system
-
-    pinned = os.environ.get("REPRO_NO_HIER_BATCH")
-    try:
-        cold_wall, _, _ = run(True)  # first encounter: builds the schedule memo
-        hier_wall = nohier_wall = None
-        for _ in range(max(repeat, 3)):
-            wall, hier_core, hier_system = run(True)
-            hier_wall = wall if hier_wall is None else min(hier_wall, wall)
-            wall, ref_core, ref_system = run(False)
-            nohier_wall = wall if nohier_wall is None else min(nohier_wall, wall)
-    finally:
-        if pinned is None:
-            os.environ.pop("REPRO_NO_HIER_BATCH", None)
-        else:
-            os.environ["REPRO_NO_HIER_BATCH"] = pinned
-    if (
-        hier_core.cycle != ref_core.cycle
-        or hier_core.stats.as_dict() != ref_core.stats.as_dict()
-        or hier_system.activity() != ref_system.activity()
-    ):
-        raise AssertionError("hier-batched and reference paths diverged — engine bug")
-    if ref_core.hier_ff_cycles or ref_core.hier_replays or ref_core.hier_bails:
-        raise AssertionError("REPRO_NO_HIER_BATCH=1 still ran the hier engine")
-    if not hier_core.hier_ff_cycles:
-        raise AssertionError("hier engine never engaged — the A/B is vacuous")
-    return {
-        "scenario": "synthetic-hit-streak",
-        "instructions": 4 * groups,
-        "nohier_wall_s": nohier_wall,
-        "cold_wall_s": cold_wall,
-        "hier_wall_s": hier_wall,
-        "hier_speedup_cold": nohier_wall / cold_wall,
-        "hier_speedup_warm": nohier_wall / hier_wall,
-        "hier_instructions_per_s": 4 * groups / hier_wall,
-        "hier_ff_cycles": hier_core.hier_ff_cycles,
-        "hier_replays": hier_core.hier_replays,
-        "hier_bails": hier_core.hier_bails,
-        "bit_identical": True,
-    }
-
-
-def micro_sched_store(repeat, instructions=5000):
-    """Persistent schedule store: cold process with warm disk vs disabled.
-
-    Emulates the cross-process contract in-process: every round decodes a
-    *fresh* copy of the hit-streak trace (empty memos — exactly what a new
-    worker process sees), then either restores the span/hier schedules
-    from a warm on-disk :class:`~repro.sim.schedstore.ScheduleStore` and
-    replays them (leg A), or runs under ``REPRO_NO_SCHED_STORE=1`` and
-    rebuilds every schedule analytically from scratch (leg B).  Rounds are
-    interleaved (A/B per round) to cancel wall-clock drift, both legs are
-    asserted bit-identical, and the kill switch is asserted *symmetric*:
-    with it set, a warm store restores nothing and a built trace publishes
-    nothing.
-    """
-    import tempfile
-
-    from repro.cpu.core import OoOCore
-    from repro.cpu.isa import Instruction, InstrClass
-    from repro.cpu.trace import Trace
-    from repro.sim import schedstore
-    from repro.sim.configs import build_conventional_hierarchy
-    from repro.sim.runner import simulate
-
-    n = instructions * 10
-    groups = max(n // 4, 8)
-
-    def fresh_trace():
-        instrs = []
-        for _ in range(groups):
-            instrs.append(Instruction(InstrClass.LOAD, addr=64))
-            instrs.extend(Instruction(InstrClass.INT_ALU) for _ in range(3))
-        trace = Trace("hit-streak", "int", instrs)
-        trace.decoded()
-        return trace
-
-    def run(trace, resident):
-        system = build_conventional_hierarchy()
-        system.prewarm(resident)
-        core = OoOCore(trace, system)
-        start = time.perf_counter()
-        simulate(core, mode="event")
-        return time.perf_counter() - start, core, system
-
-    key = ("bench-trace", "bench-cfg")
-    pinned = os.environ.get("REPRO_NO_SCHED_STORE")
-    os.environ.pop("REPRO_NO_SCHED_STORE", None)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            store = schedstore.ScheduleStore(
-                os.path.join(tmp, "schedules"), version="bench-v1"
-            )
-            seed = fresh_trace()
-            resident = seed.resident_addresses()
-            run(seed, resident)  # cold build: populates the memos
-            if not schedstore.publish_schedules(store, seed, *key):
-                raise AssertionError("seed run built no schedules to publish")
-
-            # Kill-switch symmetry: with the switch set, a warm store
-            # restores nothing and a freshly built trace publishes nothing.
-            os.environ["REPRO_NO_SCHED_STORE"] = "1"
-            probe = fresh_trace()
-            if schedstore.restore_schedules(store, probe, *key):
-                raise AssertionError("REPRO_NO_SCHED_STORE=1 still restored")
-            run(probe, resident)
-            if schedstore.publish_schedules(store, probe, *key):
-                raise AssertionError("REPRO_NO_SCHED_STORE=1 still published")
-            os.environ.pop("REPRO_NO_SCHED_STORE", None)
-
-            store_wall = disabled_wall = None
-            for _ in range(max(repeat, 3)):
-                # The store leg pays for its disk read: the restore is
-                # inside the timed section.
-                trace = fresh_trace()
-                start = time.perf_counter()
-                if not schedstore.restore_schedules(store, trace, *key):
-                    raise AssertionError("warm disk store missed — store bug")
-                restore_s = time.perf_counter() - start
-                wall, store_core, store_system = run(trace, resident)
-                wall += restore_s
-                store_wall = wall if store_wall is None else min(store_wall, wall)
-
-                os.environ["REPRO_NO_SCHED_STORE"] = "1"
-                try:
-                    trace = fresh_trace()
-                    schedstore.restore_schedules(store, trace, *key)
-                    wall, ref_core, ref_system = run(trace, resident)
-                finally:
-                    os.environ.pop("REPRO_NO_SCHED_STORE", None)
-                disabled_wall = (
-                    wall if disabled_wall is None else min(disabled_wall, wall)
-                )
-    finally:
-        if pinned is None:
-            os.environ.pop("REPRO_NO_SCHED_STORE", None)
-        else:
-            os.environ["REPRO_NO_SCHED_STORE"] = pinned
-    if (
-        store_core.cycle != ref_core.cycle
-        or store_core.stats.as_dict() != ref_core.stats.as_dict()
-        or store_system.activity() != ref_system.activity()
-    ):
-        raise AssertionError("restored-schedule and rebuilt paths diverged — store bug")
-    if not store_core.hier_replays:
-        raise AssertionError("store leg never replayed a restored schedule")
-    speedup = disabled_wall / store_wall
-    if instructions >= BENCH_INSTRUCTIONS and speedup < 2.0:
-        raise AssertionError(
-            f"schedule store speedup {speedup:.2f}x < 2x at full budget"
-        )
-    return {
-        "scenario": "synthetic-hit-streak",
-        "instructions": 4 * groups,
-        "disabled_wall_s": disabled_wall,
-        "store_wall_s": store_wall,
-        "sched_store_speedup_vs_disabled": speedup,
-        "sched_store_instructions_per_s": 4 * groups / store_wall,
-        "hier_replays": store_core.hier_replays,
-        "kill_switch_symmetric": True,
         "bit_identical": True,
     }
 
@@ -979,7 +668,7 @@ def check_against_baseline(stages, baseline_path, max_slowdown):
             f"fig4 event sweep regressed {ratio:.2f}x vs {baseline_path} "
             f"(limit {max_slowdown:.2f}x)"
         )
-    # Repeated-sweep micro: the snapshot+pool path's throughput is held
+    # Repeated-sweep micro: the pool+memo path's throughput is held
     # against the committed baseline the same way (absent in BENCH files
     # older than the plan layer).
     cached_base = committed.get("micro_sweep_cached")
@@ -1031,56 +720,6 @@ def check_against_baseline(stages, baseline_path, max_slowdown):
                     f"parallel-sweep micro regressed {parallel_ratio:.2f}x vs "
                     f"{baseline_path} (limit {max_slowdown:.2f}x)"
                 )
-    # Span-batched core micro: the warm-replay throughput is held against
-    # the committed baseline the same way (absent in BENCH files older
-    # than the span engine).
-    batch_base = committed.get("micro_core_batch")
-    if batch_base and batch_base.get("span_instructions_per_s"):
-        batch_new = stages["micro_core_batch"]["span_instructions_per_s"]
-        batch_ratio = batch_base["span_instructions_per_s"] / batch_new
-        print(
-            f"baseline check: span-batched core {batch_new:,.0f} instr/s vs "
-            f"committed {batch_base['span_instructions_per_s']:,.0f} instr/s "
-            f"({batch_ratio:.2f}x slowdown, limit {max_slowdown:.2f}x)"
-        )
-        if batch_ratio > max_slowdown:
-            raise SystemExit(
-                f"span-batched core micro regressed {batch_ratio:.2f}x vs "
-                f"{baseline_path} (limit {max_slowdown:.2f}x)"
-            )
-    # Hierarchy span micro: the memory-inclusive engine's warm-replay
-    # throughput, same contract (absent in BENCH files older than the
-    # hier engine).
-    hier_base = committed.get("micro_hier_batch")
-    if hier_base and hier_base.get("hier_instructions_per_s"):
-        hier_new = stages["micro_hier_batch"]["hier_instructions_per_s"]
-        hier_ratio = hier_base["hier_instructions_per_s"] / hier_new
-        print(
-            f"baseline check: hier-batched streak {hier_new:,.0f} instr/s vs "
-            f"committed {hier_base['hier_instructions_per_s']:,.0f} instr/s "
-            f"({hier_ratio:.2f}x slowdown, limit {max_slowdown:.2f}x)"
-        )
-        if hier_ratio > max_slowdown:
-            raise SystemExit(
-                f"hier-batched streak micro regressed {hier_ratio:.2f}x vs "
-                f"{baseline_path} (limit {max_slowdown:.2f}x)"
-            )
-    # Schedule-store micro: the warm-disk replay throughput, same contract
-    # (absent in BENCH files older than the schedule store).
-    sched_base = committed.get("micro_sched_store")
-    if sched_base and sched_base.get("sched_store_instructions_per_s"):
-        sched_new = stages["micro_sched_store"]["sched_store_instructions_per_s"]
-        sched_ratio = sched_base["sched_store_instructions_per_s"] / sched_new
-        print(
-            f"baseline check: schedule-store replay {sched_new:,.0f} instr/s vs "
-            f"committed {sched_base['sched_store_instructions_per_s']:,.0f} instr/s "
-            f"({sched_ratio:.2f}x slowdown, limit {max_slowdown:.2f}x)"
-        )
-        if sched_ratio > max_slowdown:
-            raise SystemExit(
-                f"schedule-store micro regressed {sched_ratio:.2f}x vs "
-                f"{baseline_path} (limit {max_slowdown:.2f}x)"
-            )
 
 
 def main(argv=None):
@@ -1130,18 +769,12 @@ def main(argv=None):
     stages["micro_scenario_gen"] = micro_scenario_gen(args.repeat)
     print("micro: binary trace save/load ...", flush=True)
     stages["micro_trace_file"] = micro_trace_file(args.repeat)
-    print("micro: repeated sweep (direct vs snapshot+pool vs cached) ...", flush=True)
+    print("micro: repeated sweep (direct vs pool+memo vs cached) ...", flush=True)
     stages["micro_sweep_cached"] = micro_sweep_cached(args.repeat, args.instructions)
     print("micro: result store vs result cache (warm hits, raw queries) ...", flush=True)
     stages["micro_store_query"] = micro_store_query(args.repeat, args.instructions)
     print("micro: parallel sweep (persistent pool vs fork-per-sweep) ...", flush=True)
     stages["micro_parallel_sweep"] = micro_parallel_sweep(args.repeat, args.instructions)
-    print("micro: span-batched core (engine on vs per-cycle reference) ...", flush=True)
-    stages["micro_core_batch"] = micro_core_batch(args.repeat, args.instructions)
-    print("micro: hier-batched streak (engine on vs force-disabled) ...", flush=True)
-    stages["micro_hier_batch"] = micro_hier_batch(args.repeat, args.instructions)
-    print("micro: schedule store (warm disk vs store-disabled rebuild) ...", flush=True)
-    stages["micro_sched_store"] = micro_sched_store(args.repeat, args.instructions)
     print("fig4 sweep (dense vs event) ...", flush=True)
     stages["fig4_sweep"] = fig4_sweep(
         args.repeat, args.workers, args.instructions, args.per_category
@@ -1176,7 +809,7 @@ def main(argv=None):
     cached = stages["micro_sweep_cached"]
     print(
         f"repeated sweep: direct {cached['direct_wall_s']:.2f}s, "
-        f"snapshot+pool {cached['plan_wall_s']:.2f}s "
+        f"pool+memo {cached['plan_wall_s']:.2f}s "
         f"({cached['plan_speedup_vs_direct']:.2f}x full sweep, "
         f"{cached['setup_speedup_vs_direct']:.2f}x setup phase), "
         f"warm cache {cached['cached_wall_s']:.3f}s "
@@ -1200,29 +833,6 @@ def main(argv=None):
             f"{parallel['sequential_sum_wall_s']:.2f}s back-to-back "
             f"({parallel['concurrent_vs_sum_ratio']:.2f}x)"
         )
-    batch = stages["micro_core_batch"]
-    print(
-        f"span-batched core ({batch['scenario']}): per-cycle {batch['nospan_wall_s']:.3f}s, "
-        f"engine cold {batch['cold_wall_s']:.3f}s ({batch['span_speedup_cold']:.2f}x), "
-        f"warm replay {batch['span_wall_s']:.3f}s "
-        f"({batch['span_speedup_warm']:.2f}x, bit-identical)"
-    )
-    hier = stages["micro_hier_batch"]
-    print(
-        f"hier-batched streak ({hier['scenario']}): "
-        f"engine off {hier['nohier_wall_s']:.3f}s, "
-        f"engine cold {hier['cold_wall_s']:.3f}s ({hier['hier_speedup_cold']:.2f}x), "
-        f"warm replay {hier['hier_wall_s']:.3f}s "
-        f"({hier['hier_speedup_warm']:.2f}x, bit-identical)"
-    )
-    sched = stages["micro_sched_store"]
-    print(
-        f"schedule store ({sched['scenario']}): "
-        f"store-disabled rebuild {sched['disabled_wall_s']:.3f}s, "
-        f"warm-disk replay {sched['store_wall_s']:.3f}s "
-        f"({sched['sched_store_speedup_vs_disabled']:.2f}x, bit-identical, "
-        f"kill switch symmetric)"
-    )
     gen = stages["micro_scenario_gen"]
     if "vectorized_instructions_per_s" in gen:
         print(

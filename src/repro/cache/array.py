@@ -163,36 +163,6 @@ class SetAssociativeArray:
         """Return True if the block containing ``addr`` is resident."""
         return self.lookup(addr, update_lru=False) is not None
 
-    def contains_all(self, addrs) -> bool:
-        """Bulk residency probe: True iff every address in ``addrs`` is resident.
-
-        Pure like :meth:`contains` (no replacement-state or statistics side
-        effects), with the address decomposition inlined once per address —
-        the hierarchy span engine re-validates whole probe lists on every
-        memoized-schedule replay, so the per-call overhead matters.
-        """
-        sets = self._sets
-        tag_to_way = self._tag_to_way
-        shift = self._block_shift
-        mask = self._set_mask
-        set_shift = self._set_shift
-        num_sets = self.num_sets
-        for addr in addrs:
-            line = addr >> shift
-            if mask is not None:
-                idx = line & mask
-                tag = line >> set_shift
-            else:
-                idx = line % num_sets
-                tag = line // num_sets
-            way = tag_to_way[idx].get(tag)
-            if way is None:
-                return False
-            blk = sets[idx][way]
-            if blk is None or not blk.valid:
-                return False
-        return True
-
     def touch_or_fill(self, addr: int, cycle: int = 0) -> None:
         """LRU-touch the resident block for ``addr``, or fill it on a miss.
 
@@ -333,7 +303,7 @@ class SetAssociativeArray:
         The dense ``_sets`` / ``_tag_to_way`` tables are mostly empty (an
         8 MB L3 is 4096 sets), and unpickling thousands of empty lists and
         dicts dominates the cost of cloning prewarmed hierarchies in the
-        run-plan snapshot store.  Storing only occupied entries and
+        run plan's prewarm snapshots.  Storing only occupied entries and
         rebuilding the empty geometry through ``__init__`` keeps the
         restored array byte-for-byte equivalent (blocks are shared
         references, so intra-pickle object identity is preserved).

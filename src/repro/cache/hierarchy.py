@@ -30,104 +30,6 @@ from repro.common.errors import ConfigurationError
 from repro.sim.memsys import FINALIZE_GUARD_CYCLES, MemorySystem
 
 
-class _ConventionalSpanView:
-    """Analyzable steady-state window view of a :class:`ConventionalHierarchy`.
-
-    Built once per hierarchy and handed out by :meth:`span_window` whenever
-    the entry gates hold; see :meth:`repro.sim.memsys.MemorySystem.span_window`
-    for the contract.  Inside a validated window every load is an L1 hit
-    (``start + completion + response bus``) and every store is a
-    write-through post into the L1 write buffer (``start + 1``); deferred
-    drain work below each event cycle is replayed through the hierarchy's
-    own :meth:`~ConventionalHierarchy._pump` so coalescing, drain statistics
-    and downstream writes land exactly as dense issue ordering would.
-    """
-
-    __slots__ = ("hier", "l1", "cfg_tag", "load_latency", "ports",
-                 "store_capacity", "store_needs_residency", "front_name")
-
-    def __init__(self, hier: "ConventionalHierarchy") -> None:
-        l1 = hier.levels[0]
-        self.hier = hier
-        self.l1 = l1
-        self.load_latency = l1.completion_cycles + hier._bus_cycles[0]
-        self.ports = l1.config.ports
-        self.store_capacity = l1.write_buffer.num_entries
-        self.store_needs_residency = False
-        self.front_name = l1.name
-        self.cfg_tag = (
-            "conv", hier.name, l1.name, l1.config.size_bytes,
-            l1.config.associativity, l1.config.block_size,
-            self.load_latency, self.ports, self.store_capacity,
-        )
-
-    def entry_sig(self, cycle: int) -> tuple:
-        return self.l1.write_buffer.entry_signature(cycle)
-
-    def block_addr(self, addr: int) -> int:
-        return self.l1.block_addr(addr)
-
-    def resident(self, addr: int) -> bool:
-        return self.l1.array.contains(addr)
-
-    def resident_all(self, addrs) -> bool:
-        return self.l1.array.contains_all(addrs)
-
-    def mshr_clear(self, addrs) -> bool:
-        """True when no probed address maps to a live L1 MSHR entry.
-
-        Loads to blocks without an entry take the plain lookup path
-        regardless of what other misses are in flight: fills are applied
-        eagerly at issue time with future-stamped ready cycles, hits never
-        allocate (occupancy cannot grow inside a hit-only window), stores
-        are write-through posts that bypass the MSHR entirely, and the
-        lazy release sweep diverges only in *when* entries are dropped —
-        dense issue runs the same sweep before anything reads MSHR state.
-        A block *with* a live entry would take the secondary-merge path
-        (``data_ready`` chained off the entry), so those windows truncate.
-        """
-        entries = self.l1.mshr._entries
-        if not entries:
-            return True
-        block_addr_of = self.l1.block_addr
-        for addr in addrs:
-            if block_addr_of(addr) in entries:
-                return False
-        return True
-
-    def apply_span_events(self, base: int, events) -> None:
-        """Replay validated ``(rel, is_store, addr)`` events through the L1.
-
-        Uses the real primitives (port reservation, stats-bearing lookup,
-        write-buffer coalescing) so statistics, LRU order and port state are
-        bit-identical to dense issue by construction; the per-event pump
-        mirrors the pump every dense issue's same-cycle ``can_accept`` runs.
-        """
-        hier = self.hier
-        l1 = self.l1
-        pump = hier._pump
-        release = hier._release_ready_mshrs
-        reserve = l1.reserve_port
-        lookup = l1.lookup
-        coalesce = l1.write_buffer.coalesce_or_push
-        block_addr_of = l1.block_addr
-        counters = hier.stats._counters
-        for rel, is_store, addr in events:
-            t = base + rel
-            pump(t)
-            # Mirror dense ``issue``'s lazy release sweep so entries expire
-            # (and their release counters land) at identical cycles.
-            release(t)
-            start = reserve(t)
-            if is_store:
-                lookup(addr, start, True)
-                coalesce(block_addr_of(addr), start)
-                counters["writes"] += 1.0
-            else:
-                lookup(addr, start, False)
-                counters["reads"] += 1.0
-
-
 class ConventionalHierarchy(MemorySystem):
     """A chain of timed cache levels backed by main memory.
 
@@ -173,9 +75,6 @@ class ConventionalHierarchy(MemorySystem):
         self._bus_cycles = [
             self._response_bus_cycles(level) for level in range(len(self.levels) + 1)
         ]
-        #: Lazily built window view handed out by :meth:`span_window` (the
-        #: view is stateless apart from its binding to this hierarchy).
-        self._span_view: Optional[_ConventionalSpanView] = None
 
     def _response_bus_cycles(self, service_level: int) -> int:
         """Cycles to move the data up from ``service_level`` to the requester.
@@ -487,41 +386,6 @@ class ConventionalHierarchy(MemorySystem):
         self._pump(cycle)
         self.stats.incr("posted_writes")
         self._write_into_level(0, block_addr, cycle)
-
-    def span_window(self, cycle: int):
-        """A steady-state window view, or ``None`` (see the base contract).
-
-        The gates prove that every front-side access inside the window is a
-        pure function of its start cycle: the L1 must be a write-through,
-        unit-initiation level with all ports free at ``cycle``, and the L1
-        write buffer draining one entry per cycle — its residual occupancy
-        and drain offset go into the view's entry signature.  Outstanding
-        misses do *not* close the window: fills are applied eagerly at
-        issue time, so live MSHR entries are pure timing tokens for the
-        secondary-merge path, and the view's per-address
-        :meth:`~_ConventionalSpanView.mshr_clear` check excludes exactly
-        the probed blocks that would take it.  Lazy releases are re-applied
-        here so remaining entries all have ``ready > cycle``.  Deeper
-        levels' buffered writes stay deferred (§3 exemption): nothing
-        inside a hit-only window can observe them, and the per-event pump
-        replays them at their exact dense fire cycles.
-        """
-        self._pump(cycle)
-        l1 = self.levels[0]
-        if (
-            l1._initiation_cycles != 1
-            or l1.config.write_policy != "write_through"
-            or l1.write_buffer.drain_interval != 1
-        ):
-            return None
-        self._release_ready_mshrs(cycle)
-        for free in l1._port_free_cycle:
-            if free > cycle:
-                return None
-        view = self._span_view
-        if view is None:
-            view = self._span_view = _ConventionalSpanView(self)
-        return view
 
     def prewarm(self, addresses) -> None:
         """Functionally replay an address stream through every level's array.

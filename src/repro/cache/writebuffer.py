@@ -85,21 +85,6 @@ class WriteBuffer:
         self.push(block_addr, cycle)
         return False
 
-    def entry_signature(self, cycle: int) -> Tuple[int, int]:
-        """Cycle-relative drain state ``(occupancy, next_drain - cycle)``.
-
-        Used by the hierarchy span engine's window signatures: after the
-        owner has replayed every deferred drain firing strictly before
-        ``cycle``, the remaining fire schedule is ``next_drain, next_drain +
-        drain_interval, ...`` (every queued entry was enqueued before
-        ``cycle``, so none constrains its own fire beyond that chain), which
-        this pair captures exactly.  The relative offset is clamped at 0 —
-        a fully drained buffer can leave ``_next_drain_cycle`` at any value
-        ``<= cycle``, and all such values schedule identically.
-        """
-        offset = self._next_drain_cycle - cycle
-        return (len(self._queue), offset if offset > 0 else 0)
-
     def next_drain_cycle(self) -> int:
         """Earliest cycle at which :meth:`drain_one` can succeed again.
 

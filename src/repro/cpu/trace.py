@@ -35,96 +35,10 @@ ISSUE_SIMPLE = 0
 ISSUE_LOAD = 1
 ISSUE_MISPREDICT = 2
 
-#: Per-span latency-class flags (see :class:`SpanIndex`).
-SPAN_HAS_FP = 1
-SPAN_HAS_BRANCH = 2
-
 _LOAD_CODE = int(InstrClass.LOAD)
 _STORE_CODE = int(InstrClass.STORE)
 _BRANCH_CODE = int(InstrClass.BRANCH)
 _FP_CODE = int(InstrClass.FP_ALU)
-
-
-class SpanIndex:
-    """Span metadata of a trace: runs of instructions between *breakers*.
-
-    A **breaker** is an instruction the core's span-batched fast path
-    cannot fast-forward across analytically: a memory operation (its
-    timing depends on the memory system) or a mispredicted branch (it
-    redirects the front end).  Everything between two breakers — a
-    *span* — schedules as a pure function of the trace content and the
-    entry cycle, which is what makes
-    :meth:`repro.cpu.core.OoOCore.run_batch`'s span engine possible.
-
-    Attributes:
-        next_break: ``next_break[i]`` is the smallest ``j >= i`` such that
-            instruction ``j`` is a breaker, or ``len(trace)`` when no
-            breaker follows.  ``len(next_break) == len(trace) + 1`` (the
-            final sentinel entry makes ``next_break[len(trace)]`` valid).
-        next_hard_break: like ``next_break`` but counting only *hard*
-            breakers — mispredicted branches.  Memory operations are soft
-            breakers: the memory-inclusive span engine
-            (:meth:`repro.cpu.core.OoOCore._run_span_mem`) can fast-forward
-            across them when the hierarchy exposes an analyzable window, so
-            its window length is bounded by this column instead.
-        mem_indices: indices of all memory operations, ascending.
-        spans: maximal breaker-free runs as ``(start, end, flags)`` tuples
-            (``end`` exclusive, only non-empty runs), where ``flags`` is
-            the span's latency class: :data:`SPAN_HAS_FP` set when the
-            span contains floating-point work (multi-cycle latencies),
-            :data:`SPAN_HAS_BRANCH` when it contains correctly predicted
-            branches.  A flagless span is pure single-cycle integer work.
-        max_dep: the largest backwards dependence distance anywhere in
-            the trace (0 when the trace has no dependences).  The span
-            engine uses it to bound which completed instructions can
-            still be observed by future dependence dispatch.
-    """
-
-    __slots__ = ("next_break", "next_hard_break", "mem_indices", "spans", "max_dep")
-
-    def __init__(self, decoded: "DecodedTrace") -> None:
-        kinds = decoded.kind
-        is_mem = decoded.is_mem
-        mispredicted = decoded.mispredicted
-        n = len(kinds)
-        next_break = [n] * (n + 1)
-        next_hard_break = [n] * (n + 1)
-        mem_indices: List[int] = []
-        spans: List[tuple] = []
-        nxt = n
-        hard = n
-        flags = 0
-        end = n
-        for i in range(n - 1, -1, -1):
-            if is_mem[i] or mispredicted[i]:
-                if end > i + 1:
-                    spans.append((i + 1, end, flags))
-                flags = 0
-                end = i
-                nxt = i
-                if mispredicted[i]:
-                    hard = i
-                if is_mem[i]:
-                    mem_indices.append(i)
-            else:
-                kind = kinds[i]
-                if kind == _FP_CODE:
-                    flags |= SPAN_HAS_FP
-                elif kind == _BRANCH_CODE:
-                    flags |= SPAN_HAS_BRANCH
-            next_break[i] = nxt
-            next_hard_break[i] = hard
-        if end > 0:
-            spans.append((0, end, flags))
-        spans.reverse()
-        mem_indices.reverse()
-        self.next_break = next_break
-        self.next_hard_break = next_hard_break
-        self.mem_indices = mem_indices
-        self.spans = spans
-        dep_max1 = max(decoded.dep1, default=0)
-        dep_max2 = max(decoded.dep2, default=0)
-        self.max_dep = dep_max1 if dep_max1 > dep_max2 else dep_max2
 
 
 class DecodedTrace:
@@ -137,22 +51,15 @@ class DecodedTrace:
     turns every hot-path probe into a list index.  The decode is cached on
     the trace and shared by every run of a sweep.
 
-    Beyond the per-instruction columns, two derived structures are cached
-    here because they are pure functions of the columns:
-
-    * :meth:`span_index` — the trace's :class:`SpanIndex` (breaker
-      positions and pure-ALU spans) used by the core's span-batched fast
-      path;
-    * :meth:`issue_latencies` — the per-instruction issue-to-completion
-      latency resolved against a core configuration's latency parameters,
-      keyed by those parameters (sweeps share one config, so this is
-      computed once and shared by every run).
+    The per-instruction issue-to-completion latency resolved against a
+    core configuration's latency parameters (:meth:`issue_latencies`) is
+    cached here too, keyed by those parameters: sweeps share one config,
+    so it is computed once and shared by every run.
     """
 
     __slots__ = (
         "kind", "addr", "dep1", "dep2", "latency", "mispredicted", "window",
-        "is_mem", "issue_class", "prod1", "prod2", "_span_cache", "_lat_cache",
-        "span_memo", "hier_memo", "sched_sync",
+        "is_mem", "issue_class", "prod1", "prod2", "_lat_cache",
     )
 
     def __init__(self, instructions: List[Instruction]) -> None:
@@ -171,32 +78,7 @@ class DecodedTrace:
         #: per operand in the fetch stage's dependence dispatch.
         self.prod1: List[int] = []
         self.prod2: List[int] = []
-        self._span_cache: Optional[SpanIndex] = None
         self._lat_cache: Dict[tuple, List[int]] = {}
-        #: Span-schedule memo, shared by every core driving this trace: a
-        #: pure-ALU span's schedule is a function of (trace columns, core
-        #: config, pipeline state relative to the entry cycle), so the
-        #: span engine content-addresses its computed schedules here and
-        #: replays them in O(exit state) on repeat encounters — the runs
-        #: of a sweep (several systems, repeated reports) share the trace
-        #: object and with it this memo.  Keys and values are built by
-        #: :meth:`repro.cpu.core.OoOCore._run_span`.
-        self.span_memo: Dict[tuple, Optional[tuple]] = {}
-        #: Like :attr:`span_memo` but for the memory-inclusive engine
-        #: (:meth:`repro.cpu.core.OoOCore._run_span_mem`): keys additionally
-        #: carry a hierarchy-config tag and the hierarchy's cycle-relative
-        #: entry signature; residency is not part of the key — every
-        #: attempt re-probes the live arrays before the lookup, and the
-        #: window length those probes produce is in the key, so a replay
-        #: only ever fires when all of its events still hit (traces — and
-        #: with them this memo — are shared across all systems of a sweep).
-        self.hier_memo: Dict[tuple, Optional[tuple]] = {}
-        #: Disk-sync bookkeeping for the persistent schedule store
-        #: (:mod:`repro.sim.schedstore`): (store identity, trace digest,
-        #: config key) -> (span, hier) memo sizes at the last load/publish.
-        #: Bounds disk traffic to one load per (store, trace, config) per
-        #: process and one publish per actual table change.
-        self.sched_sync: Dict[tuple, tuple] = {}
         kind_append = self.kind.append
         addr_append = self.addr.append
         dep1_append = self.dep1.append
@@ -232,14 +114,6 @@ class DecodedTrace:
             prod1_append(index - dep1 if 0 < dep1 <= index else -1)
             prod2_append(index - dep2 if 0 < dep2 <= index else -1)
             index += 1
-
-    def span_index(self) -> SpanIndex:
-        """The trace's :class:`SpanIndex` (computed once, then cached)."""
-        cached = self._span_cache
-        if cached is None:
-            cached = SpanIndex(self)
-            self._span_cache = cached
-        return cached
 
     def issue_latencies(
         self,

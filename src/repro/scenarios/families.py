@@ -277,9 +277,8 @@ def _compute_kernel(p: Mapping[str, object]) -> TraceModel:
     operand lives in registers, the few memory touches hit a small hot
     buffer, branches are loop back-edges the predictor nails, and
     aggressive unrolling keeps the in-flight dependence density low.  The
-    long pure-ALU spans make this the showcase workload for the core's
-    span-batched fast path (``micro_core_batch`` in the benchmark
-    harness)."""
+    long pure-ALU runs make this the catalog's most instruction-bound
+    workload."""
     return TraceModel(
         load_fraction=float(p["load_fraction"]),
         store_fraction=float(p["store_fraction"]),

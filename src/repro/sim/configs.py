@@ -18,7 +18,7 @@ types are also exposed as *digestable* :class:`BuilderSpec`\\ s
 (``conventional_spec`` / ``lnuca_l3_spec`` / ``dnuca_spec`` /
 ``lnuca_dnuca_spec``): a builder plus a canonical parameter description
 whose digest keys the content-addressed result cache and the prewarm
-snapshot store.
+snapshots.
 """
 
 from __future__ import annotations

@@ -47,11 +47,9 @@ Sites and their ops
     Matched by ``nth`` (per-process release counter).  Op ``kill``
     discards the worker instead of pooling it, exercising the
     recycle-and-respawn path without a real crash.
-``result-cache`` / ``trace-pool`` / ``journal`` / ``store`` / ``snapshot-store`` / ``schedule-store``
+``result-cache`` / ``trace-pool`` / ``journal`` / ``store``
     Fire after the respective file has been written (``store`` is the
-    SQLite result store, fired after each row insert commits;
-    ``snapshot-store`` is the on-disk prewarm blob store;
-    ``schedule-store`` is the persistent analytic-schedule store).  Matched
+    SQLite result store, fired after each row insert commits).  Matched
     by ``nth`` (per-site write counter) and ``path`` (substring).  Ops
     ``corrupt`` (overwrite the head with garbage bytes), ``truncate``
     (halve the file), ``delete``.  File sites fire in the process that

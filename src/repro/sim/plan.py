@@ -16,14 +16,12 @@ loops with a compile/execute split:
   1. **trace pool** — each trace is materialized exactly once into a
      file-backed ``.lntr`` pool (:class:`TracePool`) and replayed from
      there, instead of being re-synthesized per sweep;
-  2. **prewarm snapshots** — jobs that share a (builder, trace) pair clone
-     a pickled functionally-prewarmed hierarchy instead of re-running
-     ``system.prewarm``.  The snapshot store is tiered: a process-global
-     L1 keyed by content digests, backed by an on-disk
-     content-addressed blob store (:class:`SnapshotStore`) next to the
-     result cache — so repeated sweeps, sibling experiments, *and every
-     worker process* share one set of snapshots, across process
-     lifetimes;
+  2. **prewarm snapshots** — when a plan repeats a (builder, trace) pair,
+     its jobs clone a pickled functionally-prewarmed hierarchy instead of
+     re-running ``system.prewarm``.  Snapshots live in a map local to the
+     plan (and to each pool worker), and only keys the simulated jobs
+     repeat are pickled: a job whose pair occurs once builds and
+     prewarms directly, with no pickle;
   3. **result cache** — finished :class:`~repro.sim.runner.RunResult`\\ s
      are memoized in a content-addressed on-disk cache
      (:class:`ResultCache`) keyed by (builder digest, trace digest,
@@ -71,7 +69,7 @@ Safety rules
   (``ResultCache.verify`` — ``repro cache verify`` — scans for them).
 * Builders without a digestable parameter description (ad-hoc lambdas) and
   traces without a generation signature still execute — they just skip the
-  result cache / pool and fall back to per-plan snapshot sharing.
+  result cache / pool (snapshot sharing is per plan either way).
 * ``REPRO_CACHE_DIR`` overrides the on-disk cache location;
   ``REPRO_SIM_VERSION`` pins the simulator version (used by tests and CI).
 
@@ -89,16 +87,17 @@ import json
 import os
 import pickle
 import subprocess
+import tempfile
 import threading
 import time
 import warnings
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim import faults, schedstore
+from repro.sim import faults
 
 # Imported at module level on purpose: pool workers are forked lazily and
 # must never take the import lock mid-job (a function-level import inside a
@@ -297,6 +296,35 @@ def trace_digest(trace: Trace) -> str:
     return value
 
 
+# --------------------------------------------------------------- atomic writes
+def _atomic_write(path: str, write: Callable[[str], None]) -> None:
+    """Publish ``path`` atomically: ``write(tmp)`` fills a temp file, which
+    then replaces ``path`` in one rename.
+
+    The temp file is named by :func:`tempfile.mkstemp` in the target
+    directory, so it is unique per writer — threads of one process share
+    a pid, and concurrent writers of the same key must never share a temp
+    file.  The name carries a ``.tmp`` marker, so leftovers of a crashed
+    writer are swept by :meth:`ResultCache.verify`.  Raises ``OSError``
+    (after removing the temp file) when any step fails.
+    """
+    fd, tmp = tempfile.mkstemp(
+        prefix=f"{os.path.basename(path)}.tmp", dir=os.path.dirname(path)
+    )
+    try:
+        os.close(fd)
+        # mkstemp creates 0600; entries stay readable like plain open()s.
+        os.chmod(tmp, 0o644)
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
 # ------------------------------------------------------------------ trace pool
 class TracePool:
     """File-backed ``.lntr`` pool: each trace is synthesized exactly once.
@@ -347,9 +375,9 @@ class TracePool:
               stats: Optional["ExecutionStats"]) -> None:
         try:
             os.makedirs(self.directory, exist_ok=True)
-            tmp = f"{path}.tmp{os.getpid()}"
-            save_trace(trace, tmp, extra_meta=source.signature)
-            os.replace(tmp, path)
+            _atomic_write(
+                path, lambda tmp: save_trace(trace, tmp, extra_meta=source.signature)
+            )
             faults.on_write("trace-pool", path)
             if stats is not None:
                 stats.pool_saves += 1
@@ -372,10 +400,16 @@ class TracePool:
             return source.build()
         path = self.path_for(source)
         if os.path.exists(path) and self._entry_current(path, source):
-            trace = map_trace(path)
-            if stats is not None:
-                stats.pool_loads += 1
-            return trace
+            try:
+                trace = map_trace(path)
+            except (OSError, TraceFormatError) as exc:
+                # A current header over damaged records (a truncated
+                # write): regenerate, never replay.
+                self._note(f"{path}: unreadable capture ({exc}), regenerating")
+            else:
+                if stats is not None:
+                    stats.pool_loads += 1
+                return trace
         trace = source.build()
         self._save(path, source, trace, stats)
         return trace
@@ -613,9 +647,8 @@ class ResultCache:
         payload = {"schema": RESULT_SCHEMA, "result": _result_to_row(result)}
         if meta is not None:
             payload["meta"] = meta
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp{os.getpid()}"
+
+        def write(tmp: str) -> None:
             with open(tmp, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True)
                 # Durability before visibility: entries double as sweep
@@ -623,7 +656,10 @@ class ResultCache:
                 # leave a half-written page behind.
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp, path)
+
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _atomic_write(path, write)
         except OSError as exc:
             if not self._write_failed:
                 self._write_failed = True
@@ -927,191 +963,6 @@ def compile_sweep(
 
 
 # ------------------------------------------------------------------ snapshots
-class SnapshotStore:
-    """Content-addressed on-disk store of prewarm snapshot blobs.
-
-    The disk tier under the in-process ``_SNAPSHOT_BLOBS`` L1.  Blobs live
-    as ``<directory>/<aa>/<digest>.blob`` files, where the digest is the
-    sha256 of ``snapshot/{simulator version}/{builder digest}/{trace
-    digest}`` — the simulator version is part of the address, so a code
-    change can never serve a stale hierarchy against the clone-equals-fresh
-    contract.  Any process (persistent pool workers, concurrent service
-    sweeps, tomorrow's run) hits snapshots produced by any other: a fresh
-    worker re-prewarms nothing a sibling already prewarmed.
-
-    Writes follow the result cache's tmp+fsync+``os.replace`` discipline
-    and fire the ``snapshot-store`` fault site.  IO failures degrade to a
-    miss; corrupt blobs are detected on unpickle by the consumer
-    (:func:`_prewarmed_system`), discarded, and rebuilt.  Size-capped LRU
-    pruning mirrors :class:`ResultCache`: ``REPRO_SNAPSHOT_LIMIT_MB``,
-    falling back to the shared ``REPRO_CACHE_LIMIT_MB``.
-    """
-
-    #: Amortisation: the size audit walks the blob tree, so it runs at
-    #: most once every this many writes (and on the first write).
-    PRUNE_EVERY = 16
-
-    def __init__(self, directory: str, version: Optional[str] = None,
-                 limit_mb: Optional[float] = None):
-        self.directory = directory
-        self.version = version if version else "unversioned"
-        self._write_failed = False
-        if limit_mb is None:
-            for knob in ("REPRO_SNAPSHOT_LIMIT_MB", "REPRO_CACHE_LIMIT_MB"):
-                env = os.environ.get(knob)
-                if not env:
-                    continue
-                try:
-                    limit_mb = float(env)
-                except ValueError:
-                    warnings.warn(
-                        f"{knob}={env!r} is not a number; ignoring it",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                break
-        self.limit_bytes = None if limit_mb is None else int(limit_mb * 1024 * 1024)
-        self._puts_since_prune: Optional[int] = None  # None = never audited
-
-    def _path(self, key: Tuple[str, str]) -> str:
-        digest = hashlib.sha256(
-            f"snapshot/{self.version}/{key[0]}/{key[1]}".encode("utf-8")
-        ).hexdigest()
-        return os.path.join(self.directory, digest[:2], f"{digest}.blob")
-
-    def get(self, key: Tuple[str, str]) -> Optional[bytes]:
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        if self.limit_bytes is not None:
-            try:
-                os.utime(path)  # LRU stamp: hits protect their blob
-            except OSError:
-                pass
-        return blob
-
-    def put(self, key: Tuple[str, str], blob: bytes) -> None:
-        path = self._path(key)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            if not self._write_failed:
-                self._write_failed = True
-                warnings.warn(
-                    f"snapshot store: disabled writes ({exc})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        faults.on_write("snapshot-store", path)
-        count = self._puts_since_prune
-        if count is None or count + 1 >= self.PRUNE_EVERY:
-            self.prune()
-            self._puts_since_prune = 0
-        else:
-            self._puts_since_prune = count + 1
-
-    def discard(self, key: Tuple[str, str]) -> None:
-        try:
-            os.remove(self._path(key))
-        except OSError:
-            pass
-
-    def prune(self) -> int:
-        """Evict oldest-access blobs until the store fits its size limit."""
-        if self.limit_bytes is None:
-            return 0
-        entries: List[Tuple[float, int, str]] = []
-        total = 0
-        try:
-            for dirpath, _, filenames in os.walk(self.directory):
-                for filename in filenames:
-                    if not filename.endswith(".blob"):
-                        continue
-                    path = os.path.join(dirpath, filename)
-                    try:
-                        info = os.stat(path)
-                    except OSError:
-                        continue
-                    entries.append((info.st_mtime, info.st_size, path))
-                    total += info.st_size
-        except OSError:
-            return 0
-        deleted = 0
-        if total > self.limit_bytes:
-            entries.sort()
-            for _, size, path in entries:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                total -= size
-                deleted += 1
-                if total <= self.limit_bytes:
-                    break
-        return deleted
-
-    def verify(self, delete: bool = True) -> Dict[str, int]:
-        """Scan the blob tree for corrupt blobs and stale tmp files.
-
-        A blob is *corrupt* when it does not unpickle — exactly the test a
-        consumer would apply — and is removed with ``delete`` (the default),
-        as are ``.tmp`` leftovers of crashed writers.  Returns
-        ``{"checked", "corrupt", "stale_tmp", "deleted"}`` counts; healthy
-        blobs are byte-untouched.
-        """
-        report = {"checked": 0, "corrupt": 0, "stale_tmp": 0, "deleted": 0}
-
-        def remove(path: str) -> None:
-            if delete:
-                try:
-                    os.remove(path)
-                    report["deleted"] += 1
-                except OSError:
-                    pass
-
-        for dirpath, _, filenames in os.walk(self.directory):
-            for filename in filenames:
-                path = os.path.join(dirpath, filename)
-                if ".tmp" in filename:
-                    report["stale_tmp"] += 1
-                    remove(path)
-                    continue
-                if not filename.endswith(".blob"):
-                    continue
-                report["checked"] += 1
-                try:
-                    with open(path, "rb") as handle:
-                        pickle.loads(handle.read())
-                except Exception as exc:
-                    report["corrupt"] += 1
-                    warnings.warn(
-                        f"snapshot store: corrupt blob {path} ({exc})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    remove(path)
-        return report
-
-
-#: Process-global prewarm snapshot L1: (builder digest, trace digest) ->
-#: pickled functionally-prewarmed hierarchy.  Keyed by content digests, so
-#: sharing across sweeps and experiments is always sound; bounded FIFO so a
-#: long session cannot grow without limit.  Backed by the on-disk
-#: :class:`SnapshotStore` when a result cache is active.
-_SNAPSHOT_BLOBS: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
-_SNAPSHOT_CAP = 64
-
 #: Builders whose systems failed to pickle; they fall back to the direct
 #: build-and-prewarm path permanently (per process).  Holds the factory
 #: objects themselves (identity semantics) — keeping them alive on purpose,
@@ -1119,93 +970,57 @@ _SNAPSHOT_CAP = 64
 _UNPICKLABLE_BUILDERS: set = set()
 
 
-def _trim_snapshot_l1() -> None:
-    while len(_SNAPSHOT_BLOBS) > _SNAPSHOT_CAP:
-        _SNAPSHOT_BLOBS.popitem(last=False)
-
-
 def _prewarmed_system(
     builder: BuilderSpec,
     trace: Trace,
     snapshot_key: Optional[Tuple[str, str]],
-    local_blobs: Dict[Tuple[str, str], bytes],
+    blobs: Dict[Tuple[str, str], bytes],
     stats: "ExecutionStats",
-    disk_store: Optional[SnapshotStore] = None,
 ):
     """A functionally-prewarmed system, cloned from a snapshot when possible.
 
-    The snapshot is taken right after ``prewarm`` — before any timed state
-    exists — so the blob preserves exactly the state a fresh
-    build-and-prewarm produces.  The job that *creates* a snapshot runs on
-    the pristine original (no unpickle); every later job of the same
-    (builder, trace) pair runs on an unpickled clone.  Clone-equals-fresh
-    is enforced by the differential tests in ``tests/test_plan.py``.
-
-    The lookup is tiered: in-process L1 (``_SNAPSHOT_BLOBS``) first, then
-    ``disk_store`` (the on-disk :class:`SnapshotStore`, digestable builders
-    only) — a disk hit counts in ``snapshot_disk_hits``, promotes the blob
-    into L1, and still runs on an unpickled clone; a build writes through
-    to both tiers.  A corrupt blob from either tier is discarded from
-    both, rebuilt fresh, and never trusted.
+    ``snapshot_key`` is set only for (builder, trace) pairs the plan runs
+    more than once (see :func:`execute`); without one the system is built
+    and prewarmed directly.  The snapshot is taken right after ``prewarm``
+    — before any timed state exists — so the blob preserves exactly the
+    state a fresh build-and-prewarm produces.  The job that *creates* a
+    snapshot runs on the pristine original (no unpickle); every later job
+    of the same pair runs on an unpickled clone from ``blobs``.  A corrupt
+    blob is discarded, rebuilt fresh, and never trusted.
+    Clone-equals-fresh is enforced by the differential tests in
+    ``tests/test_plan.py``.
     """
-    if snapshot_key is None or builder.factory in _UNPICKLABLE_BUILDERS:
-        system = builder.factory()
-        system.prewarm(trace.resident_addresses())
-        return system
-    store = _SNAPSHOT_BLOBS if builder.digest() is not None else local_blobs
-    disk = disk_store if store is _SNAPSHOT_BLOBS else None
-    blob = store.get(snapshot_key)
-    from_disk = False
-    if blob is None and disk is not None:
-        blob = disk.get(snapshot_key)
-        from_disk = blob is not None
-    if blob is None:
-        system = builder.factory()
-        system.prewarm(trace.resident_addresses())
+    snapshotting = (
+        snapshot_key is not None and builder.factory not in _UNPICKLABLE_BUILDERS
+    )
+    blob = blobs.get(snapshot_key) if snapshotting else None
+    if blob is not None:
         try:
-            blob = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            _UNPICKLABLE_BUILDERS.add(builder.factory)
+            system = pickle.loads(blob)
+        except Exception as exc:
+            # A corrupt blob (bit rot, injected fault) degrades to the
+            # direct build-and-prewarm path and is replaced by a fresh
+            # snapshot — never trusted, never fatal.
+            del blobs[snapshot_key]
+            warnings.warn(
+                f"prewarm snapshot: discarding corrupt blob ({exc}); rebuilding",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        else:
+            stats.snapshot_clones += 1
             return system
-        blob = faults.mangle_blob(blob)
-        store[snapshot_key] = blob
-        if disk is not None:
-            disk.put(snapshot_key, blob)
-        stats.snapshot_builds += 1
-        if store is _SNAPSHOT_BLOBS:
-            _trim_snapshot_l1()
+    system = builder.factory()
+    system.prewarm(trace.resident_addresses())
+    if not snapshotting:
         return system
     try:
-        system = pickle.loads(blob)
-    except Exception as exc:
-        # A corrupt blob (bit rot, injected fault) degrades to the direct
-        # build-and-prewarm path and is replaced by a fresh snapshot —
-        # never trusted, never fatal.
-        store.pop(snapshot_key, None)
-        if disk is not None:
-            disk.discard(snapshot_key)
-        warnings.warn(
-            f"prewarm snapshot: discarding corrupt blob ({exc}); rebuilding",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        system = builder.factory()
-        system.prewarm(trace.resident_addresses())
-        try:
-            fresh = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-            store[snapshot_key] = fresh
-            if disk is not None:
-                disk.put(snapshot_key, fresh)
-            stats.snapshot_builds += 1
-        except (pickle.PicklingError, TypeError, AttributeError):
-            _UNPICKLABLE_BUILDERS.add(builder.factory)
+        blob = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        _UNPICKLABLE_BUILDERS.add(builder.factory)
         return system
-    if from_disk:
-        stats.snapshot_disk_hits += 1
-        store[snapshot_key] = blob
-        if store is _SNAPSHOT_BLOBS:
-            _trim_snapshot_l1()
-    stats.snapshot_clones += 1
+    blobs[snapshot_key] = faults.mangle_blob(blob)
+    stats.snapshot_builds += 1
     return system
 
 
@@ -1225,9 +1040,9 @@ class ExecutionStats:
     the peak number of processes that actually executed jobs (1 when
     in-process), so reports show what really ran.  ``pool_reused`` counts
     worker acquisitions served by an already-warm persistent-pool worker
-    (instead of a fork); ``snapshot_disk_hits`` counts prewarm snapshots
-    served by the on-disk :class:`SnapshotStore` — redundant prewarm
-    across processes shows up as this number staying at zero.
+    (instead of a fork); ``snapshot_builds`` / ``snapshot_clones`` count
+    prewarm snapshots pickled and cloned for (builder, trace) pairs the
+    plan repeats.
     """
 
     jobs: int = 0
@@ -1237,7 +1052,6 @@ class ExecutionStats:
     inflight_hits: int = 0
     snapshot_builds: int = 0
     snapshot_clones: int = 0
-    snapshot_disk_hits: int = 0
     pool_loads: int = 0
     pool_saves: int = 0
     pool_reused: int = 0
@@ -1246,20 +1060,6 @@ class ExecutionStats:
     quarantined: int = 0
     resumed_from_journal: int = 0
     workers_effective: int = 0
-    #: Hierarchy span-engine engagement, summed over every simulated job:
-    #: cycles fast-forwarded analytically and schedules replayed from the
-    #: memo.  Zero under ``REPRO_NO_HIER_BATCH=1`` (the kill switch) and
-    #: for purely cached executions; results are bit-identical either way,
-    #: so these are engagement diagnostics, not model statistics.
-    hier_fast_forwarded_cycles: int = 0
-    hier_schedule_replays: int = 0
-    #: Persistent schedule-store traffic (:mod:`repro.sim.schedstore`):
-    #: blob loads that restored span/hier schedules built by another
-    #: process, and blob publishes of schedules this execution built.
-    #: Zero under ``REPRO_NO_SCHED_STORE=1``; results are bit-identical
-    #: either way, so these too are engagement diagnostics.
-    sched_store_hits: int = 0
-    sched_store_builds: int = 0
 
     def add(self, other: "ExecutionStats") -> None:
         self.jobs += other.jobs
@@ -1269,7 +1069,6 @@ class ExecutionStats:
         self.inflight_hits += other.inflight_hits
         self.snapshot_builds += other.snapshot_builds
         self.snapshot_clones += other.snapshot_clones
-        self.snapshot_disk_hits += other.snapshot_disk_hits
         self.pool_loads += other.pool_loads
         self.pool_saves += other.pool_saves
         self.pool_reused += other.pool_reused
@@ -1277,10 +1076,6 @@ class ExecutionStats:
         self.timeouts += other.timeouts
         self.quarantined += other.quarantined
         self.resumed_from_journal += other.resumed_from_journal
-        self.hier_fast_forwarded_cycles += other.hier_fast_forwarded_cycles
-        self.hier_schedule_replays += other.hier_schedule_replays
-        self.sched_store_hits += other.sched_store_hits
-        self.sched_store_builds += other.sched_store_builds
         self.workers_effective = max(self.workers_effective, other.workers_effective)
 
     def describe(self) -> str:
@@ -1293,11 +1088,7 @@ class ExecutionStats:
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
             f"resumed_from_journal={self.resumed_from_journal} "
             f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
-            f"pool_reused={self.pool_reused} snapshot_disk_hits={self.snapshot_disk_hits} "
-            f"hier_fast_forwarded_cycles={self.hier_fast_forwarded_cycles} "
-            f"hier_schedule_replays={self.hier_schedule_replays} "
-            f"sched_store_hits={self.sched_store_hits} "
-            f"sched_store_builds={self.sched_store_builds}"
+            f"pool_reused={self.pool_reused}"
         )
 
     def degraded(self) -> bool:
@@ -1519,36 +1310,18 @@ def _run_job(
     job: JobSpec,
     trace: Trace,
     snapshot_key: Optional[Tuple[str, str]],
-    local_blobs: Dict,
+    blobs: Dict[Tuple[str, str], bytes],
     stats: ExecutionStats,
-    disk_store: Optional[SnapshotStore] = None,
-    sched_store: Optional[schedstore.ScheduleStore] = None,
-    sched_key: Optional[Tuple[str, str]] = None,
 ) -> RunResult:
     """Simulate one job (the only place a core is ever constructed)."""
     builder = plan.builders[job.builder]
     source = plan.traces[job.trace]
-    if sched_store is not None and sched_key is not None:
-        # Restore any schedules a sibling process already built for this
-        # (trace, config) before the core decodes: the first run then
-        # starts at warm-replay speed instead of rebuilding the memos.
-        stats.sched_store_hits += schedstore.restore_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
     if job.prewarm:
-        system = _prewarmed_system(
-            builder, trace, snapshot_key, local_blobs, stats, disk_store
-        )
+        system = _prewarmed_system(builder, trace, snapshot_key, blobs, stats)
     else:
         system = builder.factory()
     core = OoOCore(trace, system, config=plan.core_config)
     summary = simulate(core, mode=job.mode)
-    stats.hier_fast_forwarded_cycles += core.hier_ff_cycles
-    stats.hier_schedule_replays += core.hier_replays
-    if sched_store is not None and sched_key is not None:
-        stats.sched_store_builds += schedstore.publish_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
     return RunResult(
         system=job.system,
         workload=source.name,
@@ -1589,8 +1362,9 @@ class _TraceTransportError(RuntimeError):
     supervisor retries the job with the record bytes shipped inline."""
 
 
-#: Per-worker decoded-trace cache entries retained (keyed by content).
-_WORKER_TRACE_CAP = 8
+#: Per-worker cache entries retained, for decoded traces and for snapshot
+#: blobs alike (both keyed by content).
+_WORKER_CACHE_CAP = 8
 
 
 def _payload_trace(payload: Dict[str, object], cache: "OrderedDict") -> Trace:
@@ -1630,60 +1404,35 @@ def _payload_trace(payload: Dict[str, object], cache: "OrderedDict") -> Trace:
             return trace
         trace = trace_from_records(name, category, blob)
     cache[key] = trace
-    while len(cache) > _WORKER_TRACE_CAP:
-        _, evicted = cache.popitem(last=False)
-        # Last chance before the decoded memos are garbage-collected:
-        # flush any schedules built since their last disk sync.
-        schedstore.publish_pending(evicted)
+    while len(cache) > _WORKER_CACHE_CAP:
+        cache.popitem(last=False)
     return trace
 
 
 def _run_payload(
     payload: Dict[str, object],
     trace_cache: "OrderedDict",
-    store_cache: Dict[Tuple[str, str], SnapshotStore],
-    sched_cache: Dict[Tuple[str, str], schedstore.ScheduleStore],
-) -> Tuple[RunResult, Tuple[int, int, int]]:
+    blobs: "OrderedDict",
+) -> Tuple[RunResult, Tuple[int, int]]:
     """Run one shipped job inside a pool worker; returns (result, counters).
 
-    The counters tuple is this job's ``(snapshot_builds, snapshot_clones,
-    snapshot_disk_hits, hier_fast_forwarded_cycles, hier_schedule_replays,
-    sched_store_hits, sched_store_builds)`` delta — per-worker stats die
+    ``blobs`` is the worker's snapshot map: jobs of one plan that repeat a
+    (builder, trace) pair clone from it when they land on the same worker.
+    It is keyed by content digests, so sharing it across sweeps is sound,
+    and bounded like the trace cache.  The counters tuple is this job's
+    ``(snapshot_builds, snapshot_clones)`` delta — per-worker stats die
     with the worker, so each reply carries its own delta back to the
     supervisor.
     """
     builder: BuilderSpec = payload["builder"]
     trace = _payload_trace(payload, trace_cache)
-    disk_store = None
-    if payload.get("snapshot_dir"):
-        store_key = (payload["snapshot_dir"], payload["snapshot_version"])
-        disk_store = store_cache.get(store_key)
-        if disk_store is None:
-            disk_store = SnapshotStore(store_key[0], version=store_key[1])
-            store_cache[store_key] = disk_store
-    # Schedule-store participation is re-checked worker-side (symmetric
-    # kill switch: the env may differ from the supervisor's fork-time
-    # state, and load/publish must disable together either way).
-    sched_store = None
-    sched_key = payload.get("sched_key")
-    if payload.get("sched_dir") and sched_key is not None and schedstore.store_enabled():
-        sched_store_key = (payload["sched_dir"], payload["sched_version"])
-        sched_store = sched_cache.get(sched_store_key)
-        if sched_store is None:
-            sched_store = schedstore.ScheduleStore(
-                sched_store_key[0], version=sched_store_key[1]
-            )
-            sched_cache[sched_store_key] = sched_store
-    sched_hits = sched_builds = 0
-    if sched_store is not None:
-        sched_hits = schedstore.restore_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
     scratch = ExecutionStats()
     if payload["prewarm"]:
         system = _prewarmed_system(
-            builder, trace, payload["snapshot_key"], {}, scratch, disk_store
+            builder, trace, payload["snapshot_key"], blobs, scratch
         )
+        while len(blobs) > _WORKER_CACHE_CAP:
+            blobs.popitem(last=False)
     else:
         system = builder.factory()
     core = OoOCore(trace, system, config=payload["core_config"])
@@ -1698,19 +1447,7 @@ def _run_payload(
         activity=system.activity(),
         core_stats=core.stats.as_dict(),
     )
-    if sched_store is not None:
-        sched_builds = schedstore.publish_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
-    return result, (
-        scratch.snapshot_builds,
-        scratch.snapshot_clones,
-        scratch.snapshot_disk_hits,
-        core.hier_ff_cycles,
-        core.hier_replays,
-        sched_hits,
-        sched_builds,
-    )
+    return result, (scratch.snapshot_builds, scratch.snapshot_clones)
 
 
 def _pool_worker(conn) -> None:
@@ -1720,9 +1457,8 @@ def _pool_worker(conn) -> None:
     trace reference, snapshot addressing, pre-matched fault action) — the
     worker outlives the ``execute()`` call that forked it and serves any
     later sweep, so nothing may depend on fork-time sweep state.  Replies
-    ``(index, RunResult | _JobError, (builds, clones, disk_hits, ff, replays,
-    sched_hits, sched_builds))``; no
-    exception escapes — the supervisor, not the worker, decides between
+    ``(index, RunResult | _JobError, (snapshot_builds, snapshot_clones))``;
+    no exception escapes — the supervisor, not the worker, decides between
     retry and quarantine.  Exits on a ``None`` sentinel or a broken pipe.
     """
     # Fault plans are matched by the supervisor and shipped per job; a
@@ -1730,8 +1466,7 @@ def _pool_worker(conn) -> None:
     # counters would race the parent's).
     faults.install(None)
     trace_cache: "OrderedDict" = OrderedDict()
-    store_cache: Dict[Tuple[str, str], SnapshotStore] = {}
-    sched_cache: Dict[Tuple[str, str], schedstore.ScheduleStore] = {}
+    blobs: "OrderedDict" = OrderedDict()
     while True:
         try:
             message = conn.recv()
@@ -1740,16 +1475,14 @@ def _pool_worker(conn) -> None:
         if message is None:
             return
         index = message["index"]
-        counters = (0, 0, 0, 0, 0, 0, 0)
+        counters = (0, 0)
         payload: object
         try:
             action = faults.apply_worker_action(message.get("action"), message["label"])
             if action == "garbage":
                 payload = "\x00injected-garbage-payload"
             else:
-                payload, counters = _run_payload(
-                    message, trace_cache, store_cache, sched_cache
-                )
+                payload, counters = _run_payload(message, trace_cache, blobs)
         except Exception as exc:
             payload = _JobError(
                 type(exc).__name__,
@@ -1778,7 +1511,7 @@ class _WorkerPool:
 
     Workers are forked lazily on first demand, parked idle when a sweep's
     supervisor releases them, and handed — still warm, with their decoded
-    traces and snapshot L1 intact — to the next sweep that asks, whether
+    traces and snapshot map intact — to the next sweep that asks, whether
     that sweep runs in this thread or a concurrent service thread.  Jobs
     travel as self-contained payloads, so nothing here depends on
     fork-time sweep state and no fork lock serializes concurrent
@@ -2298,15 +2031,9 @@ class _SupervisedExecutor:
             )
             return
         if valid and isinstance(payload, RunResult):
-            (builds, clones, disk_hits, ff_cycles, replays,
-             sched_hits, sched_builds) = message[2]
+            builds, clones = message[2]
             self.stats.snapshot_builds += builds
             self.stats.snapshot_clones += clones
-            self.stats.snapshot_disk_hits += disk_hits
-            self.stats.hier_fast_forwarded_cycles += ff_cycles
-            self.stats.hier_schedule_replays += replays
-            self.stats.sched_store_hits += sched_hits
-            self.stats.sched_store_builds += sched_builds
             worker.pool_worker.jobs_done += 1
             self.commit(entry, payload)
             self.remaining -= 1
@@ -2364,12 +2091,13 @@ def execute(
             finish, and an interrupted sweep resumes from them.
         pool: trace pool; defaults to ``<cache dir>/traces`` when a cache
             is active, else in-memory synthesis.
-        snapshots: clone prewarmed hierarchies across jobs that share a
-            (builder, trace) pair; disable to force the direct
-            build-and-prewarm path per job.  With an active cache,
-            snapshots are additionally shared across processes through the
-            on-disk :class:`SnapshotStore` (``<cache dir>/snapshots``;
-            ``REPRO_NO_SNAPSHOT_STORE=1`` disables the disk tier).
+        snapshots: clone prewarmed hierarchies across the jobs this call
+            simulates that repeat a (builder, trace) pair (a duplicate
+            served by an in-flight twin does not count): the first pickles
+            a snapshot into a map local to this call, the others clone it.
+            A pair that occurs once is built and prewarmed directly, with
+            no pickle.  Disable to force the direct build-and-prewarm path
+            for every job.
         trace_memo: share immutable synthesized traces (and their cached
             decode / resident set / digest) across execute calls in this
             process; disable to force per-plan materialization.
@@ -2404,28 +2132,6 @@ def execute(
     if pool is None and active_cache is not None:
         pool = TracePool(os.path.join(active_cache.directory, "traces"))
 
-    # On-disk snapshot tier: only with an active cache (the store lives
-    # next to it, and the same dirty/unknown version rule applies).
-    disk_store: Optional[SnapshotStore] = None
-    if (
-        snapshots
-        and active_cache is not None
-        and not os.environ.get("REPRO_NO_SNAPSHOT_STORE")
-    ):
-        disk_store = SnapshotStore(
-            os.path.join(active_cache.directory, "snapshots"), version=version
-        )
-
-    # Persistent analytic-schedule store: same placement and dirty/unknown
-    # version rule as the snapshot tier.  ``store_enabled`` gates load and
-    # publish together (symmetric kill switch) — constructing no store here
-    # disables both sides at once, in this process and in every payload.
-    sched_store: Optional[schedstore.ScheduleStore] = None
-    if active_cache is not None and schedstore.store_enabled():
-        sched_store = schedstore.ScheduleStore(
-            os.path.join(active_cache.directory, "schedules"), version=version
-        )
-
     progress = on_progress if on_progress is not None else _DEFAULT_PROGRESS
     total = len(plan.jobs)
     done = 0
@@ -2450,11 +2156,7 @@ def execute(
                 if memo_key is not None:
                     _TRACE_MEMO[memo_key] = trace
                     while len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
-                        _, evicted = _TRACE_MEMO.popitem(last=False)
-                        # Publish-on-eviction: schedules built since the
-                        # evicted trace's last job must reach disk before
-                        # the decode is garbage-collected.
-                        stats.sched_store_builds += schedstore.publish_pending(evicted)
+                        _TRACE_MEMO.popitem(last=False)
             elif pool is not None:
                 # Memo hit, but the file-backed capture must still appear.
                 pool.ensure(source, trace, stats)
@@ -2571,26 +2273,25 @@ def execute(
     completed_ok = False
     try:
         if pending:
-            snapshot_keys: Dict[JobSpec, Tuple[str, str]] = {}
-            sched_keys: Dict[JobSpec, Tuple[str, str]] = {}
-            local_blobs: Dict[Tuple[str, str], bytes] = {}
+            # Snapshot only what this plan reuses: a (builder, trace) pair
+            # gets a key when at least two jobs simulated here share it.
+            # Counted over the owned jobs, not per distinct JobSpec, so
+            # identical duplicate jobs share a snapshot too, while a
+            # duplicate that waits on an in-flight twin counts for nothing.
+            pair_of: Dict[JobSpec, Tuple[str, str]] = {}
             for index, job, key in pending:
                 materialize(job.trace)  # pool files land before any dispatch
-                if snapshots and job.prewarm:
+                if snapshots and job.prewarm and job not in pair_of:
                     builder_digest = plan.builders[job.builder].digest()
-                    snapshot_keys[job] = (
+                    pair_of[job] = (
                         builder_digest or f"adhoc:{job.builder}",
                         content_digest(job.trace),
                     )
-                if sched_store is not None and job not in sched_keys:
-                    # Schedule blobs address by (trace content, config):
-                    # ad-hoc builders (no digest) stay per-process.
-                    builder_digest = plan.builders[job.builder].digest()
-                    if builder_digest is not None:
-                        sched_keys[job] = (
-                            content_digest(job.trace),
-                            f"{builder_digest}/{core_digest}",
-                        )
+            uses = Counter(pair_of[job] for _, job, _ in owned if job in pair_of)
+            snapshot_keys = {
+                job: pair for job, pair in pair_of.items() if uses[pair] > 1
+            }
+            blobs: Dict[Tuple[str, str], bytes] = {}
             stats.simulated = len(owned)
 
             def commit(index: int, job: JobSpec, key: Optional[str],
@@ -2694,26 +2395,12 @@ def execute(
                         "mode": job.mode,
                         "core_config": plan.core_config,
                         "snapshot_key": snapshot_keys.get(job),
-                        "snapshot_dir": (
-                            disk_store.directory if disk_store is not None else None
-                        ),
-                        "snapshot_version": (
-                            disk_store.version if disk_store is not None else None
-                        ),
-                        "sched_key": sched_keys.get(job),
-                        "sched_dir": (
-                            sched_store.directory if sched_store is not None else None
-                        ),
-                        "sched_version": (
-                            sched_store.version if sched_store is not None else None
-                        ),
                     }
 
                 def run_local(entry: _Pending) -> RunResult:
                     return _run_job(
                         plan, entry.job, traces[entry.job.trace],
-                        snapshot_keys.get(entry.job), local_blobs, stats, disk_store,
-                        sched_store, sched_keys.get(entry.job),
+                        snapshot_keys.get(entry.job), blobs, stats,
                     )
 
                 executor = _SupervisedExecutor(
@@ -2736,8 +2423,7 @@ def execute(
                         index, job, key,
                         _run_job(
                             plan, job, traces[job.trace], snapshot_keys.get(job),
-                            local_blobs, stats, disk_store,
-                            sched_store, sched_keys.get(job),
+                            blobs, stats,
                         ),
                     )
 
@@ -2769,8 +2455,7 @@ def execute(
                             index, job, key,
                             _run_job(
                                 plan, job, traces[job.trace], snapshot_keys.get(job),
-                                local_blobs, stats, disk_store,
-                                sched_store, sched_keys.get(job),
+                                blobs, stats,
                             ),
                         )
                         continue

@@ -42,16 +42,16 @@ def manifest_systems():
 def span_metrics(trace) -> Dict[str, object]:
     """Trace-level span statistics pinned alongside the run manifests.
 
-    Two shapes drive the analytic engines' coverage, so the manifests pin
-    them per scenario:
+    Two trace shapes say how instruction-bound or hit-bound a scenario
+    is, so the manifests pin them per scenario:
 
     * ``mean_alu_span`` — mean length of the maximal runs of non-memory
-      instructions (the pure-ALU engine's raw material);
+      instructions;
     * ``hit_streaks`` — distribution of maximal runs of consecutive
-      memory accesses that hit a functionally warmed conventional L1
-      (the hierarchy engine's raw material).  The replay is functional
-      (``contains`` then ``touch_or_fill``), warmed exactly like a timed
-      run's prewarm, so the streaks are deterministic per trace.
+      memory accesses that hit a functionally warmed conventional L1.
+      The replay is functional (``contains`` then ``touch_or_fill``),
+      warmed exactly like a timed run's prewarm, so the streaks are
+      deterministic per trace.
     """
     from repro.sim.configs import conventional_spec
 

@@ -166,3 +166,31 @@ class TestInOrderCore:
         slow = SimpleInOrderCore(mixed_trace(100), FixedLatencyMemory(latency=50))
         slow.run()
         assert slow.cycle > fast.cycle + 1000
+
+
+class TestDecodedTrace:
+    def test_issue_class_and_producer_columns(self):
+        trace = Trace("cls", "int", [
+            Instruction(InstrClass.LOAD, addr=64),
+            Instruction(InstrClass.BRANCH, mispredicted=True),
+            Instruction(InstrClass.BRANCH),
+            Instruction(InstrClass.STORE, addr=0, dep1=2),
+            Instruction(InstrClass.INT_ALU, dep1=9),  # out-of-range producer
+        ])
+        decoded = trace.decoded()
+        assert decoded.issue_class == [1, 2, 0, 0, 0]
+        assert decoded.prod1 == [-1, -1, -1, 1, -1]
+
+    def test_issue_latencies_resolution(self):
+        trace = Trace("lat", "int", [
+            Instruction(InstrClass.INT_ALU, latency=1),
+            Instruction(InstrClass.INT_ALU, latency=7),  # trace latency above the floor wins
+            Instruction(InstrClass.FP_ALU, latency=1),  # FP always uses the config latency
+            Instruction(InstrClass.LOAD, addr=64),
+            Instruction(InstrClass.STORE, addr=0),
+            Instruction(InstrClass.BRANCH),
+        ])
+        lat = trace.decoded().issue_latencies(2, 4, 1, 3)
+        assert lat == [2, 7, 4, 0, 3, 1]
+        # Cached per parameter tuple.
+        assert trace.decoded().issue_latencies(2, 4, 1, 3) is lat

@@ -62,9 +62,9 @@ FAMILY_SAMPLERS = {
         "update_fraction": round(rng.uniform(0.5, 0.95), 2),
         "table_weight": round(rng.uniform(0.6, 0.95), 2),
     },
-    # Pure-ALU-dominant draws: long breaker-free spans drive the core's
-    # span-batched engine through its fast-forward, truncation and memo
-    # paths (warm and cold, all four hierarchies).
+    # Pure-ALU-dominant draws: long runs without memory operations keep
+    # the core in instruction-bound batches (warm and cold, all four
+    # hierarchies).
     "compute-kernel": lambda rng: {
         "load_fraction": round(rng.uniform(0.0, 0.03), 4),
         "store_fraction": round(rng.uniform(0.0, 0.01), 4),
@@ -75,8 +75,8 @@ FAMILY_SAMPLERS = {
         "buffer_kb": rng.choice([8.0, 24.0, 64.0]),
     },
     # Alternating ALU/memory bursts: every phase boundary flips between
-    # span-engine territory and memory-bound flow, exercising the
-    # span-boundary handshake with in-flight hierarchy state.
+    # instruction-bound batching and memory-bound flow, exercising the
+    # batch-boundary handshake with in-flight hierarchy state.
     "phase-mix": lambda rng: {
         "phases": (
             {"family": "compute-kernel",
@@ -140,9 +140,9 @@ class TestDenseEventFuzz:
     def test_cold_fuzzed_scenarios_bit_identical(self, system, family):
         # Cold runs maximise long idle spans — the deepest skips the
         # batched kernel takes — on the two most memory-hostile families,
-        # plus the span-engine-heavy draws (pure-ALU and alternating
-        # ALU/memory bursts), where cold misses interleave memory stalls
-        # with analytic fast-forwards.
+        # plus the batch-heavy draws (pure-ALU and alternating ALU/memory
+        # bursts), where cold misses interleave memory stalls with
+        # instruction-bound batches.
         spec = _fuzz_spec(family, 47)
         trace = build_trace(spec, _N)
         dense = run_workload(
@@ -153,12 +153,11 @@ class TestDenseEventFuzz:
         )
         _assert_identical(dense, event, f"{system}/{family} (cold)")
 
-    #: Targeted draws for the hierarchy span engine's extreme regimes,
-    #: pinned (not sampled) so they cannot drift out of the regime:
-    #: a low-skew zipf-kv whose tiny hot set turns warm runs into long
-    #: L1 hit streaks (maximum window engagement), and a giant-table
-    #: gups whose cold misses keep the MSHR files saturated (maximum
-    #: pressure on the per-address window gates and truncation paths).
+    #: Targeted draws for two extreme hierarchy regimes, pinned (not
+    #: sampled) so they cannot drift out of the regime: a low-skew
+    #: zipf-kv whose tiny hot set turns warm runs into long L1 hit
+    #: streaks, and a giant-table gups whose cold misses keep the MSHR
+    #: files saturated.
     TARGETED = {
         "hit-streak-heavy": (
             "zipf-kv",
@@ -193,36 +192,27 @@ class TestDenseEventFuzz:
         _assert_identical(dense, event, f"{system}/{regime}")
 
 
-class TestScheduleStoreFuzz:
-    """Store-enabled regime: schedules that cross a disk round-trip stay exact.
 
-    Each draw builds schedules in one trace, publishes them to a throwaway
-    :class:`ScheduleStore`, restores them into a *freshly decoded* copy of
-    the trace (empty memos, as a new process would see), and asserts the
-    replayed event run is bit-identical to dense.  Under the kill switch
-    (``REPRO_NO_SCHED_STORE=1``) publish and restore both no-op and the
-    case degrades to a plain warm-fuzz check — which must still hold.
+class TestSharedTraceFuzz:
+    """A decoded trace shared across jobs stays exact.
+
+    Plans and pool workers decode each trace once and hand the same
+    :class:`~repro.cpu.trace.Trace` to every job that replays it, so the
+    decoded columns and their per-latency caches are reused across runs.
+    Each draw runs event mode twice on one trace object and once on a
+    freshly built copy (empty caches, as a new process would see); all
+    three must equal dense.
     """
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("family", ["compute-kernel", "phase-mix"])
-    def test_restored_schedules_bit_identical(self, system, family, tmp_path):
-        from repro.sim.schedstore import (
-            ScheduleStore,
-            publish_schedules,
-            restore_schedules,
-        )
-
+    def test_reused_and_fresh_decodes_bit_identical(self, system, family):
         spec = _fuzz_spec(family, 83)
-        built = build_trace(spec, _N)
-        dense = run_workload(SYSTEMS[system], spec, _N, trace=built, mode="dense")
-        run_workload(SYSTEMS[system], spec, _N, trace=built, mode="event")
-
-        store = ScheduleStore(str(tmp_path / "schedules"), version="fuzz-v1")
-        published = publish_schedules(store, built, "fuzz-digest", f"cfg-{system}")
-
+        shared = build_trace(spec, _N)
+        dense = run_workload(SYSTEMS[system], spec, _N, trace=shared, mode="dense")
+        for run in range(2):
+            event = run_workload(SYSTEMS[system], spec, _N, trace=shared, mode="event")
+            _assert_identical(dense, event, f"{system}/{family} (shared trace, run {run})")
         fresh = build_trace(spec, _N)
-        restored = restore_schedules(store, fresh, "fuzz-digest", f"cfg-{system}")
-        assert restored == published  # a published blob must restore; no blob, no hit
         event = run_workload(SYSTEMS[system], spec, _N, trace=fresh, mode="event")
-        _assert_identical(dense, event, f"{system}/{family} (store round-trip)")
+        _assert_identical(dense, event, f"{system}/{family} (fresh decode)")

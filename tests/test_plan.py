@@ -10,12 +10,15 @@ hierarchy types, warm and cold.
 
 import json
 import os
+import sys
+import threading
 import warnings
 
 import pytest
 
 from repro.cpu.workloads import workload_by_name
 from repro.scenarios import records_bytes, scenario
+from repro.scenarios.tracefile import map_trace
 from repro.sim import plan
 from repro.sim.configs import (
     BuilderSpec,
@@ -90,14 +93,9 @@ def _dummy_result(workload):
 
 # ----------------------------------------------------------------- snapshots
 class TestSnapshotBitIdentity:
-    @pytest.fixture(autouse=True)
-    def _fresh_snapshot_store(self):
-        """The build/clone counters below assume a cold snapshot store."""
-        plan._SNAPSHOT_BLOBS.clear()
-
     @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
     def test_snapshot_clone_matches_fresh_prewarm(self, name):
-        """Warm runs through the snapshot store equal direct run_workload."""
+        """Runs on cloned prewarm snapshots equal direct run_workload."""
         spec = two_workloads()[0]
         builder = FOUR_HIERARCHIES[name]
         direct = run_workload(builder.factory, spec, TINY, prewarm=True)
@@ -121,6 +119,93 @@ class TestSnapshotBitIdentity:
         planned = execute(compile_sweep({name: builder}, [spec], TINY, prewarm=False))
         assert planned.stats.snapshot_clones == 0
         assert_identical([direct], planned.results)
+
+    def test_unrepeated_pairs_pickle_nothing(self, cache):
+        """Snapshots are taken only for (builder, trace) pairs a plan repeats."""
+        compiled = compile_sweep(FOUR_HIERARCHIES, two_workloads(), TINY)
+        planned = execute(compiled, cache=cache)
+        assert planned.stats.simulated == len(compiled.jobs)
+        assert planned.stats.snapshot_builds == 0
+        assert planned.stats.snapshot_clones == 0
+        assert not os.path.exists(os.path.join(cache.directory, "snapshots"))
+        direct = execute(compiled, snapshots=False)
+        assert_identical(planned.results, direct.results)
+
+    def test_only_repeated_pairs_are_snapshotted(self):
+        """A plan mixing a repeated pair with singletons pickles just the pair."""
+        specs = two_workloads()
+        compiled = compile_sweep({"L2-256KB": conventional_spec()}, specs, TINY)
+        repeated = compiled.jobs[0]
+        compiled.jobs = [repeated, compiled.jobs[1], repeated]
+        planned = execute(compiled)
+        assert planned.stats.snapshot_builds == 1
+        assert planned.stats.snapshot_clones == 1
+        direct = execute(compiled, snapshots=False)
+        assert_identical(planned.results, direct.results)
+
+    def test_cold_duplicates_pickle_nothing(self):
+        """Unprewarmed jobs have no snapshot to share, repeated or not."""
+        compiled = compile_sweep(
+            {"L2-256KB": conventional_spec()}, two_workloads()[:1], TINY, prewarm=False
+        )
+        compiled.jobs = compiled.jobs * 2
+        planned = execute(compiled)
+        assert planned.stats.snapshot_builds == 0
+        assert planned.stats.snapshot_clones == 0
+        assert_identical(planned.results, execute(compiled, snapshots=False).results)
+
+    def test_deduplicated_duplicates_pickle_nothing(self, cache):
+        """With a cache, duplicates wait on their in-flight twin instead of
+        simulating, so no pair repeats among the simulated jobs."""
+        compiled = compile_sweep(
+            {"L2-256KB": conventional_spec(), "LN2-72KB": lnuca_l3_spec(2)},
+            two_workloads()[:1], TINY,
+        )
+        compiled.jobs = compiled.jobs * 3
+        planned = execute(compiled, cache=cache)
+        assert planned.stats.simulated == 2
+        assert planned.stats.inflight_hits == 4
+        assert planned.stats.snapshot_builds == 0
+        assert planned.stats.snapshot_clones == 0
+        assert_identical(planned.results, execute(compiled, snapshots=False).results)
+
+    def test_cached_duplicates_pickle_nothing(self, cache):
+        """Only jobs left to simulate count toward a repeated pair."""
+        compiled = compile_sweep({"L2-256KB": conventional_spec()}, two_workloads(), TINY)
+        compiled.jobs = compiled.jobs * 2
+        first = execute(compiled, cache=cache)
+        warm = execute(compiled, cache=cache)
+        assert warm.stats.simulated == 0
+        assert warm.stats.snapshot_builds == 0
+        assert warm.stats.snapshot_clones == 0
+        assert_identical(warm.results, first.results)
+
+    def test_snapshot_map_is_local_to_each_execute(self):
+        """A later execute rebuilds its own snapshot; nothing outlives a call."""
+        compiled = compile_sweep({"L2-256KB": conventional_spec()}, two_workloads()[:1], TINY)
+        compiled.jobs = compiled.jobs * 3
+        runs = [execute(compiled) for _ in range(2)]
+        for run in runs:
+            assert run.stats.snapshot_builds == 1
+            assert run.stats.snapshot_clones == 2
+        assert_identical(runs[0].results, runs[1].results)
+
+    def test_repeated_pairs_across_workers_match_direct(self):
+        """Each worker keeps its own snapshot map; every keyed job either
+        builds or clones, and the results stay bit-identical."""
+        compiled = compile_sweep(
+            {"L2-256KB": conventional_spec(), "LN2-72KB": lnuca_l3_spec(2)},
+            two_workloads()[:1], TINY,
+        )
+        compiled.jobs = compiled.jobs * 3
+        planned = execute(compiled, workers=2)
+        assert not planned.failures
+        assert planned.stats.snapshot_builds >= 2  # one per pair at least
+        assert (
+            planned.stats.snapshot_builds + planned.stats.snapshot_clones
+            == len(compiled.jobs)
+        )
+        assert_identical(planned.results, execute(compiled, snapshots=False).results)
 
     def test_snapshots_disabled_is_the_direct_path(self):
         specs = two_workloads()
@@ -378,6 +463,170 @@ class TestResultCache:
         # without bound even though no one called prune() explicitly.
         total = sum(os.path.getsize(path) for path in self._entry_paths(cache))
         assert total <= 1048 + 1024  # budget plus at most a few fresh puts
+
+
+# ---------------------------------------------------------- concurrent writes
+class TestThreadedSameKeyWrites:
+    """Threads of one process share a pid, so same-key writers of the
+    result cache and the trace pool must never share a temp file."""
+
+    THREADS = 8
+    ROUNDS = 20
+
+    def _hammer(self, write):
+        barrier = threading.Barrier(self.THREADS)
+        errors = []
+
+        def writer():
+            try:
+                barrier.wait()
+                for _ in range(self.ROUNDS):
+                    write()
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sys.setswitchinterval(1e-6)  # interleave the writers as finely as possible
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert [str(w.message) for w in caught] == []
+
+    @staticmethod
+    def _tmp_leftovers(directory):
+        return [name for name in os.listdir(directory) if ".tmp" in name]
+
+    def test_result_cache_same_key(self, cache):
+        result = _dummy_result("mcf-like")
+        key = "ab" * 32
+        self._hammer(lambda: cache.put(key, result))
+        assert result_tuple(cache.get(key)) == result_tuple(result)
+        assert self._tmp_leftovers(os.path.dirname(cache._path(key))) == []
+        assert cache.verify()["corrupt"] == 0
+
+    def test_trace_pool_same_trace(self, tmp_path):
+        source = trace_source_for(two_workloads()[0], TINY)
+        trace = source.build()
+        pool = TracePool(str(tmp_path / "pool"))
+        path = pool.path_for(source)
+        self._hammer(lambda: pool._save(path, source, trace, None))
+        assert self._tmp_leftovers(pool.directory) == []
+        assert trace_digest(map_trace(path)) == trace_digest(trace)
+        assert pool.fetch(source).instructions == trace.instructions
+
+
+# ------------------------------------------------------------- atomic writes
+class TestAtomicWrites:
+    """Publishing through a unique temp file: never a torn entry, never a
+    stray temp file the cache audit cannot find."""
+
+    @staticmethod
+    def _fail(tmp):
+        with open(tmp, "w") as handle:
+            handle.write("half an entry")
+        raise OSError("disk full")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_write_removes_its_temp_and_keeps_the_target(self, tmp_path, existing):
+        target = tmp_path / "entry.json"
+        if existing:
+            target.write_text("old entry")
+        with pytest.raises(OSError, match="disk full"):
+            plan._atomic_write(str(target), self._fail)
+        assert sorted(os.listdir(tmp_path)) == (["entry.json"] if existing else [])
+        if existing:
+            assert target.read_text() == "old entry"
+
+    def test_temp_names_are_unique_and_carry_the_marker(self, tmp_path):
+        seen = []
+
+        def record(tmp):
+            seen.append(os.path.basename(tmp))
+            with open(tmp, "w") as handle:
+                handle.write("entry")
+
+        target = str(tmp_path / "entry.json")
+        for _ in range(5):
+            plan._atomic_write(target, record)
+        assert len(set(seen)) == len(seen)
+        assert all(name.startswith("entry.json.tmp") for name in seen)
+        assert os.listdir(tmp_path) == ["entry.json"]
+        assert oct(os.stat(target).st_mode & 0o777) == oct(0o644)
+
+    def test_verify_sweeps_a_crashed_writers_temp(self, cache):
+        import tempfile
+
+        key = "cd" * 32
+        cache.put(key, _dummy_result("mcf-like"))
+        directory = os.path.dirname(cache._path(key))
+        fd, leftover = tempfile.mkstemp(
+            prefix=f"{os.path.basename(cache._path(key))}.tmp", dir=directory
+        )
+        os.close(fd)
+        report = cache.verify()
+        assert report["checked"] == 1
+        assert report["stale_tmp"] == 1
+        assert not os.path.exists(leftover)
+        assert cache.get(key) is not None
+
+
+# ----------------------------------------------------- write-fault recovery
+class TestWriteFaultRecovery:
+    """A damaged write to either on-disk tier is detected on the next read
+    and replaced, never replayed."""
+
+    @pytest.fixture(autouse=True)
+    def _no_faults_after(self):
+        from repro.sim import faults
+
+        yield
+        faults.reset()
+
+    @pytest.mark.parametrize("op", ["corrupt", "truncate", "delete"])
+    def test_result_cache_entry_is_resimulated(self, cache, op):
+        from repro.sim import faults
+        from repro.sim.faults import FaultPlan, FaultSpec
+
+        compiled = compile_sweep({"L2-256KB": conventional_spec()}, two_workloads(), TINY)
+        reference = execute(compiled, snapshots=False).results
+        faults.install(FaultPlan(specs=[FaultSpec(site="result-cache", op=op, nth=0)]))
+        execute(compiled, cache=cache)
+        faults.install(FaultPlan())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the corrupt-entry report
+            second = execute(compiled, cache=cache)
+        assert second.stats.simulated == 1
+        assert second.stats.cached == len(compiled.jobs) - 1
+        assert_identical(second.results, reference)
+        assert execute(compiled, cache=cache).stats.cached == len(compiled.jobs)
+
+    @pytest.mark.parametrize("op", ["corrupt", "truncate", "delete"])
+    def test_trace_pool_capture_is_regenerated(self, tmp_path, op):
+        from repro.sim import faults
+        from repro.sim.faults import FaultPlan, FaultSpec
+
+        source = trace_source_for(two_workloads()[0], TINY)
+        reference = source.build()
+        pool = TracePool(str(tmp_path / "pool"))
+        faults.install(FaultPlan(specs=[FaultSpec(site="trace-pool", op=op, nth=0)]))
+        pool.fetch(source)
+        faults.install(FaultPlan())
+        stats = ExecutionStats()
+        replayed = pool.fetch(source, stats)
+        assert stats.pool_loads == 0 and stats.pool_saves == 1
+        assert replayed.instructions == reference.instructions
+        healed = ExecutionStats()
+        assert trace_digest(pool.fetch(source, healed)) == trace_digest(reference)
+        assert healed.pool_loads == 1
 
 
 # ------------------------------------------------------------------ the plan

@@ -263,9 +263,7 @@ class TestCorruptionRecovery:
         # the corruption on load and rebuilds from scratch.
         builders = {"A-L2": conventional_spec(), "B-L2": conventional_spec()}
         compiled = compile_sweep(builders, two_workloads()[:1], TINY)
-        plan._SNAPSHOT_BLOBS.clear()
         reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
         faults.install(FaultPlan(specs=[
             FaultSpec(site="snapshot-blob", op="corrupt", nth=0),
         ]))

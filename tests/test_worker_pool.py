@@ -1,22 +1,16 @@
 """Differential tests for the shared-state parallel execution substrate.
 
-Three layers, one contract — bit-identical to sequential by construction:
+Two layers, one contract — bit-identical to sequential by construction:
 
 * the **persistent worker pool**: workers outlive ``execute()`` calls,
   are reused across sweeps (and across concurrent sweeps from threads —
   the old ``_FORK_LOCK`` is gone), and are recycled per supervision
   policy without changing a single result;
-* the **on-disk snapshot blob store**: a prewarm snapshot built by any
-  process is consumed by any other with zero redundant prewarm
-  (``snapshot_disk_hits`` > 0, ``snapshot_builds`` == 0), and a corrupt
-  blob is discarded and rebuilt fresh;
 * the **mmap trace path**: a pooled ``.lntr`` capture replayed through
   ``mmap`` decodes to exactly the bytes, digest, and instructions of the
   eager loader (``REPRO_NO_MMAP=1`` fallback included).
 """
 
-import os
-import shutil
 import threading
 
 import pytest
@@ -32,8 +26,6 @@ from repro.sim.configs import (
 from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.plan import (
     ExecutionStats,
-    ResultCache,
-    SnapshotStore,
     SupervisionPolicy,
     TracePool,
     compile_sweep,
@@ -67,12 +59,6 @@ def pool_defaults():
     shutdown_worker_pool()
 
 
-@pytest.fixture
-def cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_VERSION", "test-version-1")
-    return ResultCache(str(tmp_path / "cache"))
-
-
 def small_plan():
     builders = {"L2-256KB": conventional_spec(), "LN2-72KB": lnuca_l3_spec(2)}
     return compile_sweep(builders, two_workloads(), TINY)
@@ -88,16 +74,6 @@ def reference_results(compiled):
     run = execute(compiled)
     assert not run.failures
     return run.results
-
-
-def snapshot_blob_paths(cache):
-    root = os.path.join(cache.directory, "snapshots")
-    return sorted(
-        os.path.join(dirpath, name)
-        for dirpath, _, names in os.walk(root)
-        for name in names
-        if name.endswith(".blob")
-    )
 
 
 class TestPersistentPool:
@@ -210,29 +186,15 @@ class TestPersistentPool:
         assert "cached=0 " in text
         assert "simulated=0 " in text
         assert "retries=0 " in text
-        assert "pool_reused=0 " in text
-        assert "snapshot_disk_hits=0 " in text
-        assert "hier_fast_forwarded_cycles=0 " in text
-        assert "hier_schedule_replays=0 " in text
-        assert text.endswith(
-            "sched_store_hits=0 sched_store_builds=0"
-        )
+        assert text.endswith("pool_reused=0")
 
     def test_add_sums_pool_counters(self):
         total = ExecutionStats()
-        part = ExecutionStats(pool_reused=2, snapshot_disk_hits=3)
+        part = ExecutionStats(pool_reused=2, snapshot_clones=3)
         total.add(part)
         total.add(part)
         assert total.pool_reused == 4
-        assert total.snapshot_disk_hits == 6
-
-    def test_add_sums_hier_engagement_counters(self):
-        total = ExecutionStats()
-        part = ExecutionStats(hier_fast_forwarded_cycles=10, hier_schedule_replays=2)
-        total.add(part)
-        total.add(part)
-        assert total.hier_fast_forwarded_cycles == 20
-        assert total.hier_schedule_replays == 4
+        assert total.snapshot_clones == 6
 
     def test_healthz_reports_worker_pool(self):
         from repro.service.manager import SweepManager
@@ -242,137 +204,6 @@ class TestPersistentPool:
             "idle", "forked", "reused", "recycled", "discarded",
         }
         assert payload["executor"]["pool_reused"] == 0
-        assert payload["executor"]["snapshot_disk_hits"] == 0
-
-
-class TestSnapshotStoreSharing:
-    @pytest.fixture(autouse=True)
-    def _fresh_l1(self):
-        plan._SNAPSHOT_BLOBS.clear()
-
-    def test_fresh_workers_consume_blobs_with_zero_prewarm(self, cache):
-        """Process A prewarms; fresh worker processes only read disk."""
-        compiled = small_plan()
-        reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
-        first = execute(compiled, cache=cache)
-        assert first.stats.snapshot_builds == len(compiled.jobs)
-        assert len(snapshot_blob_paths(cache)) == len(compiled.jobs)
-        # Drop every warm tier the workers could inherit: the result
-        # cache (so jobs re-simulate), the in-process L1 (forked workers
-        # would copy it), and any idle pool worker from the first run.
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        shutdown_worker_pool()
-        second = execute(compiled, workers=2, cache=cache, supervision=FAST)
-        assert not second.failures
-        assert second.stats.simulated == len(compiled.jobs)
-        assert second.stats.snapshot_builds == 0  # zero redundant prewarm
-        assert second.stats.snapshot_disk_hits == len(compiled.jobs)
-        assert_identical(second.results, reference)
-
-    def test_sequential_warm_run_hits_the_disk_tier(self, cache):
-        compiled = small_plan()
-        execute(compiled, cache=cache)
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        warm = execute(compiled, cache=cache)
-        assert warm.stats.snapshot_builds == 0
-        assert warm.stats.snapshot_disk_hits == len(compiled.jobs)
-
-    def test_disabled_store_keeps_building(self, cache, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SNAPSHOT_STORE", "1")
-        compiled = small_plan()
-        execute(compiled, cache=cache)
-        assert snapshot_blob_paths(cache) == []
-
-    def test_corrupt_disk_blob_is_discarded_and_rebuilt(self, cache):
-        compiled = small_plan()
-        reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
-        execute(compiled, cache=cache)
-        blobs = snapshot_blob_paths(cache)
-        assert blobs
-        for path in blobs:
-            with open(path, "wb") as handle:
-                handle.write(b"\x00not a pickle")
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        with pytest.warns(RuntimeWarning, match="discarding corrupt blob"):
-            rebuilt = execute(compiled, cache=cache)
-        assert rebuilt.stats.snapshot_builds == len(compiled.jobs)
-        assert_identical(rebuilt.results, reference)
-        # The rebuild wrote healthy blobs back through to disk.
-        report = SnapshotStore(os.path.join(cache.directory, "snapshots")).verify()
-        assert report["checked"] == len(blobs)
-        assert report["corrupt"] == 0
-
-    def test_snapshot_store_fault_site_corrupts_then_recovers(self, cache):
-        compiled = small_plan()
-        reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
-        faults.install(FaultPlan(specs=[
-            FaultSpec(site="snapshot-store", op="corrupt", nth=0),
-        ]))
-        execute(compiled, cache=cache)  # L1 absorbs the damage this run
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        faults.install(FaultPlan())
-        with pytest.warns(RuntimeWarning, match="discarding corrupt blob"):
-            recovered = execute(compiled, cache=cache)
-        assert not recovered.failures
-        assert_identical(recovered.results, reference)
-
-    def test_verify_counts_corrupt_blobs_and_stale_tmp(self, cache):
-        compiled = small_plan()
-        execute(compiled, cache=cache)
-        blobs = snapshot_blob_paths(cache)
-        with open(blobs[0], "wb") as handle:
-            handle.write(b"garbage")
-        stale = blobs[1] + ".tmp123"
-        with open(stale, "w") as handle:
-            handle.write("leftover")
-        store = SnapshotStore(os.path.join(cache.directory, "snapshots"))
-        with pytest.warns(RuntimeWarning, match="corrupt blob"):
-            report = store.verify()
-        assert report["checked"] == len(blobs)
-        assert report["corrupt"] == 1
-        assert report["stale_tmp"] == 1
-        assert not os.path.exists(blobs[0])
-        assert not os.path.exists(stale)
-        assert os.path.exists(blobs[1])
-
-    def test_cache_verify_cli_covers_the_snapshot_store(
-        self, cache, monkeypatch, capsys
-    ):
-        from repro import cli
-
-        compiled = small_plan()
-        plan._SNAPSHOT_BLOBS.clear()
-        execute(compiled, cache=cache)
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache.directory)
-        assert cli.main(["cache", "verify"]) == 0
-        out = capsys.readouterr().out
-        assert "entries checked" in out
-        assert f"{len(compiled.jobs)} blobs checked" in out
-
-    def test_size_cap_prunes_oldest_blobs(self, cache):
-        store = SnapshotStore(
-            os.path.join(cache.directory, "snapshots"), limit_mb=0.001
-        )
-        for index in range(4):
-            store.put(("builder", f"trace-{index}"), b"x" * 512)
-        # Puts amortize the audit (PRUNE_EVERY); force it to observe the cap.
-        assert store.prune() >= 1
-        total = sum(os.path.getsize(path) for path in snapshot_blob_paths(cache))
-        assert total <= store.limit_bytes
-
-    def test_version_partitions_the_store(self, cache):
-        a = SnapshotStore(os.path.join(cache.directory, "snapshots"), version="v1")
-        b = SnapshotStore(os.path.join(cache.directory, "snapshots"), version="v2")
-        a.put(("builder", "trace"), b"blob-for-v1")
-        assert b.get(("builder", "trace")) is None
-        assert a.get(("builder", "trace")) == b"blob-for-v1"
 
 
 class TestMappedTraces:
