@@ -32,8 +32,9 @@ stage set:
   parallel-sweep micro A/B-ing the persistent worker pool against the
   historical fork-per-sweep path);
 * ``fig4_sweep`` — the bench-sized Fig. 4 sweep (sizes from
-  ``benchmarks/conftest.py``) in dense and event mode, with a
-  bit-identical-stats assertion between the two;
+  ``benchmarks/conftest.py``) in dense and event mode, in-process
+  (``workers=1``, so the committed throughput baseline stays comparable),
+  with a bit-identical-stats assertion between the two;
 * ``memory_wall_stress`` — a cold pointer-chasing run against slow
   memory: the idle-cycle-dominated regime the event kernel targets, where
   the dense loop burns one Python call per component per stalled cycle.
@@ -577,11 +578,15 @@ def fig4_sweep(repeat, workers, instructions=BENCH_INSTRUCTIONS, per_category=BE
     specs = select_workloads(per_category)
     dense_wall, dense = _best_of(
         repeat,
-        lambda: run_suite(conventional_builders(), specs, instructions, mode="dense"),
+        lambda: run_suite(
+            conventional_builders(), specs, instructions, mode="dense", workers=1
+        ),
     )
     event_wall, event = _best_of(
         repeat,
-        lambda: run_suite(conventional_builders(), specs, instructions, mode="event"),
+        lambda: run_suite(
+            conventional_builders(), specs, instructions, mode="event", workers=1
+        ),
     )
     if not _results_identical(dense, event):
         raise AssertionError("dense and event sweeps diverged — kernel bug")

@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan sweeps out over N persistent pool workers "
-        "(result-identical to sequential; needs a fork-capable OS)",
+        "(default: usable CPUs; 1 = in-process; 'serve' stays in-process "
+        "unless set; result-identical to sequential; needs a fork-capable OS)",
     )
     parser.add_argument(
         "--pool-size",

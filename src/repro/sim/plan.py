@@ -1042,7 +1042,11 @@ class ExecutionStats:
     worker acquisitions served by an already-warm persistent-pool worker
     (instead of a fork); ``snapshot_builds`` / ``snapshot_clones`` count
     prewarm snapshots pickled and cloned for (builder, trace) pairs the
-    plan repeats.
+    plan repeats.  ``job_s`` sums the wall seconds of every simulated job,
+    measured where it ran (a pool worker or this process), so ``job_s /
+    (wall * workers_effective)`` shows how busy the workers were; like
+    every counter here it never enters a digest, a cache entry, or a
+    report artifact.
     """
 
     jobs: int = 0
@@ -1060,6 +1064,7 @@ class ExecutionStats:
     quarantined: int = 0
     resumed_from_journal: int = 0
     workers_effective: int = 0
+    job_s: float = 0.0
 
     def add(self, other: "ExecutionStats") -> None:
         self.jobs += other.jobs
@@ -1077,6 +1082,7 @@ class ExecutionStats:
         self.quarantined += other.quarantined
         self.resumed_from_journal += other.resumed_from_journal
         self.workers_effective = max(self.workers_effective, other.workers_effective)
+        self.job_s += other.job_s
 
     def describe(self) -> str:
         # New counters append at the end: CI and scripts grep for the
@@ -1088,7 +1094,7 @@ class ExecutionStats:
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
             f"resumed_from_journal={self.resumed_from_journal} "
             f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
-            f"pool_reused={self.pool_reused}"
+            f"pool_reused={self.pool_reused} job_s={self.job_s:.3f}"
         )
 
     def degraded(self) -> bool:
@@ -1313,7 +1319,8 @@ def _run_job(
     blobs: Dict[Tuple[str, str], bytes],
     stats: ExecutionStats,
 ) -> RunResult:
-    """Simulate one job (the only place a core is ever constructed)."""
+    """Simulate one job in this process, timed into ``stats.job_s``."""
+    started = time.perf_counter()
     builder = plan.builders[job.builder]
     source = plan.traces[job.trace]
     if job.prewarm:
@@ -1322,7 +1329,7 @@ def _run_job(
         system = builder.factory()
     core = OoOCore(trace, system, config=plan.core_config)
     summary = simulate(core, mode=job.mode)
-    return RunResult(
+    result = RunResult(
         system=job.system,
         workload=source.name,
         category=source.category,
@@ -1332,6 +1339,8 @@ def _run_job(
         activity=system.activity(),
         core_stats=core.stats.as_dict(),
     )
+    stats.job_s += time.perf_counter() - started
+    return result
 
 
 class _JobError:
@@ -1413,17 +1422,18 @@ def _run_payload(
     payload: Dict[str, object],
     trace_cache: "OrderedDict",
     blobs: "OrderedDict",
-) -> Tuple[RunResult, Tuple[int, int]]:
+) -> Tuple[RunResult, Tuple[int, int, float]]:
     """Run one shipped job inside a pool worker; returns (result, counters).
 
     ``blobs`` is the worker's snapshot map: jobs of one plan that repeat a
     (builder, trace) pair clone from it when they land on the same worker.
     It is keyed by content digests, so sharing it across sweeps is sound,
     and bounded like the trace cache.  The counters tuple is this job's
-    ``(snapshot_builds, snapshot_clones)`` delta — per-worker stats die
-    with the worker, so each reply carries its own delta back to the
+    ``(snapshot_builds, snapshot_clones, job_s)`` delta — per-worker stats
+    die with the worker, so each reply carries its own delta back to the
     supervisor.
     """
+    started = time.perf_counter()
     builder: BuilderSpec = payload["builder"]
     trace = _payload_trace(payload, trace_cache)
     scratch = ExecutionStats()
@@ -1447,7 +1457,10 @@ def _run_payload(
         activity=system.activity(),
         core_stats=core.stats.as_dict(),
     )
-    return result, (scratch.snapshot_builds, scratch.snapshot_clones)
+    return result, (
+        scratch.snapshot_builds, scratch.snapshot_clones,
+        time.perf_counter() - started,
+    )
 
 
 def _pool_worker(conn) -> None:
@@ -1457,7 +1470,8 @@ def _pool_worker(conn) -> None:
     trace reference, snapshot addressing, pre-matched fault action) — the
     worker outlives the ``execute()`` call that forked it and serves any
     later sweep, so nothing may depend on fork-time sweep state.  Replies
-    ``(index, RunResult | _JobError, (snapshot_builds, snapshot_clones))``;
+    ``(index, RunResult | _JobError, (snapshot_builds, snapshot_clones,
+    job_s))``;
     no exception escapes — the supervisor, not the worker, decides between
     retry and quarantine.  Exits on a ``None`` sentinel or a broken pipe.
     """
@@ -1475,7 +1489,7 @@ def _pool_worker(conn) -> None:
         if message is None:
             return
         index = message["index"]
-        counters = (0, 0)
+        counters = (0, 0, 0.0)
         payload: object
         try:
             action = faults.apply_worker_action(message.get("action"), message["label"])
@@ -1914,7 +1928,11 @@ class _SupervisedExecutor:
 
     def _wait_timeout(self, now: float) -> float:
         horizons = [w.deadline for w in self.workers.values() if w.entry is not None]
-        horizons.extend(entry.ready_at for entry in self.queue)
+        # Only a backoff still running sets a horizon.  A ready entry left
+        # queued after dispatch waits for a busy worker, whose reply or EOF
+        # wakes the wait; counting its ``ready_at`` (0.0) would turn the
+        # wait into a busy-poll competing with the workers for CPU.
+        horizons.extend(entry.ready_at for entry in self.queue if entry.ready_at > now)
         if not horizons:
             return 0.05
         # Cap the sleep so replenish/dispatch stay live even when quiet.
@@ -2031,9 +2049,10 @@ class _SupervisedExecutor:
             )
             return
         if valid and isinstance(payload, RunResult):
-            builds, clones = message[2]
+            builds, clones, seconds = message[2]
             self.stats.snapshot_builds += builds
             self.stats.snapshot_clones += clones
+            self.stats.job_s += seconds
             worker.pool_worker.jobs_done += 1
             self.commit(entry, payload)
             self.remaining -= 1
@@ -2078,12 +2097,16 @@ def execute(
     Args:
         workers: fan the uncached jobs out over that many worker processes
             leased from the persistent pool under the supervised executor
-            (order-preserving and result-identical, exactly like the
-            historical ``run_suite`` fan-out; falls back to in-process
-            execution — with a :class:`RuntimeWarning` naming the reason —
-            without ``fork``).  Workers outlive this call and are reused
-            by later sweeps, including concurrent ones from service
-            threads (no fork lock).
+            (order-preserving and result-identical to in-process
+            execution; falls back to in-process execution — with a
+            :class:`RuntimeWarning` naming the reason — without ``fork``).
+            ``None``, 0 and 1 run in-process: unlike
+            :func:`~repro.sim.runner.run_suite`, which defaults to every
+            usable CPU, this call only fans out on request, so the service
+            (``SweepManager``) stays sequential unless ``--workers`` is
+            set.  Workers outlive this call and are reused by later
+            sweeps, including concurrent ones from service threads (no
+            fork lock).
         cache: result cache; ``None`` disables memoization.  A ``-dirty``
             or unknown simulator version bypasses a configured cache with a
             warning.  An active cache also activates the per-sweep

@@ -51,6 +51,7 @@ result cache — every fast path bit-identical to the direct
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
@@ -217,6 +218,19 @@ def run_workload(
     )
 
 
+def _default_workers() -> int:
+    """Worker count of ``run_suite(workers=None)``: every usable CPU.
+
+    1 (in-process, silently) on a single-CPU host or without ``fork``.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def run_suite(
     system_builders: Dict[str, SystemBuilder],
     specs: Iterable[WorkloadSpec],
@@ -250,6 +264,11 @@ def run_suite(
             drawn from the process-wide persistent pool (reused across
             calls).  Each pair is fully independent, so the result list
             is identical to a sequential run, in the same order.
+            ``None`` (the default) uses every usable CPU
+            (``os.sched_getaffinity``); a single-CPU or fork-less host then
+            runs in-process without a warning.  ``1`` forces in-process
+            execution; an explicit ``workers > 1`` without ``fork`` warns
+            and runs in-process.
         trace_factory: ``(spec, num_instructions) -> Trace`` used to
             generate each workload's trace; defaults to the legacy
             :func:`generate_trace`.  The scenario engine passes
@@ -277,6 +296,8 @@ def run_suite(
     """
     from repro.sim import plan as plan_module
 
+    if workers is None:
+        workers = _default_workers()
     compiled = plan_module.compile_sweep(
         system_builders,
         specs,

@@ -240,6 +240,58 @@ class TestWorkers:
         assert_identical(first, warm.results)
 
 
+class TestAutoWorkers:
+    """``run_suite(workers=None)`` fans out over every usable CPU."""
+
+    def test_single_cpu_runs_in_process_silently(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forked = plan.worker_pool_stats()["forked"]
+        with plan.collect_stats() as stats, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_suite(FOUR_HIERARCHIES, two_workloads(), TINY)
+        assert stats.workers_effective == 1
+        assert plan.worker_pool_stats()["forked"] == forked
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_two_cpus_fan_out_identically(self, monkeypatch):
+        specs = two_workloads()
+        sequential = run_suite(FOUR_HIERARCHIES, specs, TINY, workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with plan.collect_stats() as stats:
+            pooled = run_suite(FOUR_HIERARCHIES, specs, TINY)
+        assert stats.workers_effective == 2
+        assert_identical(sequential, pooled)
+
+    def test_without_fork_only_an_explicit_request_warns(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setattr(plan, "_FALLBACK_WARNED", False)
+        with plan.collect_stats() as stats, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_suite(FOUR_HIERARCHIES, two_workloads(), TINY)
+        assert stats.workers_effective == 1
+        with pytest.warns(RuntimeWarning, match="lacks os.fork"):
+            run_suite(FOUR_HIERARCHIES, two_workloads(), TINY, workers=2)
+
+
+class TestJobSeconds:
+    """``ExecutionStats.job_s``: per-job wall time, wherever the job ran."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_reports_job_seconds(self, workers):
+        with plan.collect_stats() as stats:
+            run_suite(FOUR_HIERARCHIES, two_workloads()[:1], TINY, workers=workers)
+        assert stats.workers_effective == workers
+        assert stats.job_s > 0
+        assert stats.describe().endswith(f"job_s={stats.job_s:.3f}")
+
+    def test_add_sums_job_seconds(self):
+        total = ExecutionStats()
+        total.add(ExecutionStats(job_s=0.25))
+        total.add(ExecutionStats(job_s=0.5))
+        assert total.job_s == 0.75
+
+
 # ---------------------------------------------------------------- trace pool
 class TestTracePool:
     def test_pool_replay_is_byte_identical_to_synthesis(self, tmp_path):
@@ -665,8 +717,13 @@ class TestWarmReport:
         from repro.experiments import report as report_module
 
         out = str(tmp_path / "out")
+        # In-process (workers=1): under an injected fault plan a pooled cold
+        # pass is "degraded" and REPORT.md records it, so the warm pass
+        # would differ by design.
         with plan.collect_stats() as cold_stats:
-            report_module.write_report(out, num_instructions=600, per_category=1, cache=cache)
+            report_module.write_report(
+                out, num_instructions=600, per_category=1, cache=cache, workers=1
+            )
         assert cold_stats.simulated > 0
         artifacts = sorted(
             name for name in os.listdir(out) if name.endswith((".md", ".csv"))
@@ -675,7 +732,9 @@ class TestWarmReport:
             name: open(os.path.join(out, name), "rb").read() for name in artifacts
         }
         with plan.collect_stats() as warm_stats:
-            report_module.write_report(out, num_instructions=600, per_category=1, cache=cache)
+            report_module.write_report(
+                out, num_instructions=600, per_category=1, cache=cache, workers=1
+            )
         assert warm_stats.simulated == 0
         assert warm_stats.cached == cold_stats.simulated + cold_stats.cached
         for name in artifacts:

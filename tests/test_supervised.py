@@ -17,6 +17,7 @@ import os
 import shutil
 import signal
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -220,6 +221,39 @@ class TestQuarantine:
         assert second.stats.simulated == 1  # only the quarantined job
         assert second.stats.cached == len(compiled.jobs) - 1
         assert_identical(second.results, reference)
+
+
+class TestWaitTimeout:
+    """The supervisor sleeps on its workers' pipes instead of busy-polling."""
+
+    def busy_executor(self, deadlines):
+        executor = plan._SupervisedExecutor(
+            [], plan.ExecutionStats(), FAST, commit=None, processes=len(deadlines),
+            payload_for=None, run_local=None, transportable=lambda entry: True,
+        )
+        job = small_plan().jobs[0]
+        for seq, deadline in enumerate(deadlines):
+            worker = plan._Worker(SimpleNamespace(conn=object(), process=None))
+            worker.entry = plan._Pending(seq, job, None, seq)
+            worker.deadline = deadline
+            executor.workers[worker.conn] = worker
+        executor.queue.append(plan._Pending(len(deadlines), job, None, len(deadlines)))
+        return executor
+
+    def test_ready_entry_behind_busy_workers_waits_for_the_deadline(self):
+        now = 100.0
+        executor = self.busy_executor([now + 5.0, now + 3.0])
+        assert executor._wait_timeout(now) == 1.0  # capped, not 0
+        executor = self.busy_executor([now + 5.0, now + 0.4])
+        assert executor._wait_timeout(now) == pytest.approx(0.4)
+
+    def test_backing_off_entry_still_bounds_the_wait(self):
+        now = 100.0
+        executor = self.busy_executor([now + 5.0, now + 3.0])
+        retry = plan._Pending(9, small_plan().jobs[1], None, 9)
+        retry.ready_at = now + 0.2
+        executor.queue.append(retry)
+        assert executor._wait_timeout(now) == pytest.approx(0.2)
 
 
 class TestDegradation:

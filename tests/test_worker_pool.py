@@ -186,7 +186,8 @@ class TestPersistentPool:
         assert "cached=0 " in text
         assert "simulated=0 " in text
         assert "retries=0 " in text
-        assert text.endswith("pool_reused=0")
+        assert "pool_reused=0 " in text
+        assert text.endswith("job_s=0.000")
 
     def test_add_sums_pool_counters(self):
         total = ExecutionStats()
