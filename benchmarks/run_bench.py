@@ -216,8 +216,7 @@ def micro_sweep_cached(repeat, instructions=2000):
     * ``direct`` — fresh build, per-job prewarm, per-job synthesis (the
       historical per-sweep cost, the PR 3 baseline behaviour);
     * ``plan`` — trace-pool replay and the in-process trace memo (warm
-      pool, result cache off; every (system, workload) pair occurs once
-      per sweep, so no prewarm snapshot is taken);
+      pool, result cache off);
     * ``cached`` — warm content-addressed result cache: zero simulation.
 
     Besides the full-sweep walls, the stage isolates the *setup* phase the
@@ -242,9 +241,7 @@ def micro_sweep_cached(repeat, instructions=2000):
             pool = plan_module.TracePool(os.path.join(tmp, "pool"))
             cache = plan_module.ResultCache(os.path.join(tmp, "cache"))
 
-            direct = lambda: plan_module.execute(  # noqa: E731
-                compiled(), snapshots=False, trace_memo=False
-            ).results
+            direct = lambda: plan_module.execute(compiled(), trace_memo=False).results  # noqa: E731
             fast = lambda: plan_module.execute(compiled(), pool=pool).results  # noqa: E731
             cached = lambda: plan_module.execute(compiled(), pool=pool, cache=cache).results  # noqa: E731
 
@@ -274,8 +271,6 @@ def micro_sweep_cached(repeat, instructions=2000):
                     system = builders[job.system].factory()
                     system.prewarm(traces[job.trace].resident_addresses())
 
-            scratch = plan_module.ExecutionStats()
-
             def plan_setup():
                 for job in compiled_plan.jobs:
                     source = compiled_plan.traces[job.trace]
@@ -284,9 +279,8 @@ def micro_sweep_cached(repeat, instructions=2000):
                     if trace is None:
                         trace = source.build()
                         plan_module._TRACE_MEMO[memo_key] = trace
-                    plan_module._prewarmed_system(
-                        builders[job.system], trace, None, {}, scratch
-                    )
+                    system = builders[job.system].factory()
+                    system.prewarm(trace.resident_addresses())
 
             compiled_plan = compiled()
             plan_setup()  # warm the memo

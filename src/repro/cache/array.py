@@ -296,51 +296,6 @@ class SetAssociativeArray:
         ways = self._sets[idx]
         return ways[self.policy.victim_way(idx, ways)]
 
-    # -- pickling ----------------------------------------------------------------
-    def __getstate__(self):
-        """Sparse pickle form: geometry + policy + only the occupied slots.
-
-        The dense ``_sets`` / ``_tag_to_way`` tables are mostly empty (an
-        8 MB L3 is 4096 sets), and unpickling thousands of empty lists and
-        dicts dominates the cost of cloning prewarmed hierarchies in the
-        run plan's prewarm snapshots.  Storing only occupied entries and
-        rebuilding the empty geometry through ``__init__`` keeps the
-        restored array byte-for-byte equivalent (blocks are shared
-        references, so intra-pickle object identity is preserved).
-        """
-        return {
-            "size_bytes": self.size_bytes,
-            "associativity": self.associativity,
-            "block_size": self.block_size,
-            "policy": self.policy,
-            "on_change": self.on_change,
-            "sets": {
-                idx: [(way, blk) for way, blk in enumerate(ways) if blk is not None]
-                for idx, ways in enumerate(self._sets)
-                if any(blk is not None for blk in ways)
-            },
-            "tags": {
-                idx: dict(tags)
-                for idx, tags in enumerate(self._tag_to_way)
-                if tags
-            },
-        }
-
-    def __setstate__(self, state):
-        self.__init__(
-            state["size_bytes"],
-            state["associativity"],
-            state["block_size"],
-            policy=state["policy"],
-        )
-        self.on_change = state.get("on_change")
-        for idx, entries in state["sets"].items():
-            ways = self._sets[idx]
-            for way, blk in entries:
-                ways[way] = blk
-        for idx, tags in state["tags"].items():
-            self._tag_to_way[idx] = tags
-
     # -- introspection -----------------------------------------------------------
     def occupancy(self) -> int:
         """Return the number of valid blocks currently resident."""

@@ -17,8 +17,7 @@ For the declarative run-plan layer (:mod:`repro.sim.plan`) the four system
 types are also exposed as *digestable* :class:`BuilderSpec`\\ s
 (``conventional_spec`` / ``lnuca_l3_spec`` / ``dnuca_spec`` /
 ``lnuca_dnuca_spec``): a builder plus a canonical parameter description
-whose digest keys the content-addressed result cache and the prewarm
-snapshots.
+whose digest keys the content-addressed result cache.
 """
 
 from __future__ import annotations

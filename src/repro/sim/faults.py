@@ -34,7 +34,7 @@ Sites and their ops
     :class:`~repro.common.errors.SimulationError`).
 ``commit``
     Fires in the committing process after a finished result has been
-    written to the cache and journal.  Matched by ``nth`` (per-process
+    written to the cache.  Matched by ``nth`` (per-process
     commit counter).  Op ``exit`` SIGKILLs the process — the way tests
     interrupt a sweep mid-flight to exercise checkpoint-resume.
 ``spawn``
@@ -47,7 +47,7 @@ Sites and their ops
     Matched by ``nth`` (per-process release counter).  Op ``kill``
     discards the worker instead of pooling it, exercising the
     recycle-and-respawn path without a real crash.
-``result-cache`` / ``trace-pool`` / ``journal`` / ``store``
+``result-cache`` / ``trace-pool`` / ``store``
     Fire after the respective file has been written (``store`` is the
     SQLite result store, fired after each row insert commits).  Matched
     by ``nth`` (per-site write counter) and ``path`` (substring).  Ops
@@ -56,10 +56,6 @@ Sites and their ops
     performs the write; pool workers run with no plan installed, so
     worker-side writes are disturbed by corrupting the file from the
     test process instead.
-``snapshot-blob``
-    Fires when a prewarm snapshot blob is stored.  Op ``corrupt``
-    replaces the pickle with garbage, exercising the rebuild-on-corrupt
-    recovery.
 
 A plan may also carry a ``policy`` object whose keys override the
 active :class:`~repro.sim.plan.SupervisionPolicy` (``job_timeout``,
@@ -269,7 +265,7 @@ def on_worker_recycle() -> bool:
 
 
 def on_commit() -> None:
-    """Called after a finished result has been committed (cache+journal)."""
+    """Called after a finished result has been committed to the cache."""
     if active() is None:
         return
     spec = _match("commit", nth=_next("commit"))
@@ -307,12 +303,3 @@ def on_write(site: str, path: str) -> None:
     except OSError:  # pragma: no cover - the file vanished underneath us
         pass
 
-
-def mangle_blob(blob: bytes) -> bytes:
-    """Called when a prewarm snapshot blob is stored; may corrupt it."""
-    if active() is None:
-        return blob
-    spec = _match("snapshot-blob", nth=_next("snapshot-blob"))
-    if spec is not None and spec.op == "corrupt":
-        return _CORRUPT_BYTES + blob[len(_CORRUPT_BYTES):]
-    return blob

@@ -9,24 +9,21 @@ loops with a compile/execute split:
   list of hashable :class:`JobSpec`\\ s over a registry of digestable
   builders (:class:`~repro.sim.configs.BuilderSpec`) and
   :class:`TraceSource`\\ s;
-* one **executor** (:func:`execute`) runs the plan, with three fast paths
+* one **executor** (:func:`execute`) runs the plan, with two fast paths
   that are guaranteed bit-identical to the direct path (fresh build,
   per-job prewarm, per-job synthesis):
 
   1. **trace pool** — each trace is materialized exactly once into a
      file-backed ``.lntr`` pool (:class:`TracePool`) and replayed from
      there, instead of being re-synthesized per sweep;
-  2. **prewarm snapshots** — when a plan repeats a (builder, trace) pair,
-     its jobs clone a pickled functionally-prewarmed hierarchy instead of
-     re-running ``system.prewarm``.  Snapshots live in a map local to the
-     plan (and to each pool worker), and only keys the simulated jobs
-     repeat are pickled: a job whose pair occurs once builds and
-     prewarms directly, with no pickle;
-  3. **result cache** — finished :class:`~repro.sim.runner.RunResult`\\ s
+  2. **result cache** — finished :class:`~repro.sim.runner.RunResult`\\ s
      are memoized in a content-addressed on-disk cache
      (:class:`ResultCache`) keyed by (builder digest, trace digest,
      simulator version, run parameters), so a warm re-run performs zero
      simulation.
+
+Every job builds and prewarms its own hierarchy: no paper sweep repeats
+a (builder, trace) pair, so there is nothing to clone.
 
 Fault tolerance
 ===============
@@ -48,12 +45,11 @@ job that exhausts its retries — it keeps killing workers — is
 :class:`~repro.common.errors.ExecutionError`).  When forking itself keeps
 failing the executor degrades to in-process execution with a warning.
 
-Every sweep is **checkpoint-resumable**: finished results are committed
-to the result cache *and* an fsync'd per-sweep journal
-(:class:`SweepJournal`) as they complete, so re-running an interrupted
-sweep simulates only the jobs that never finished.  The journal is
-deleted when the sweep completes cleanly; corrupt journal lines (the
-tail of a crash) are skipped, never trusted.
+Every sweep is **checkpoint-resumable**: each finished result is
+committed to the result cache — fsync'd, then atomically renamed into
+place — the moment it completes, and that entry is the sweep's only
+checkpoint.  Re-running an interrupted sweep hits the cache for every
+committed job and simulates only the jobs that never finished.
 
 All of these paths are exercised deterministically by the fault-injection
 harness in :mod:`repro.sim.faults` (``REPRO_FAULT_PLAN`` / test API).
@@ -69,7 +65,7 @@ Safety rules
   (``ResultCache.verify`` — ``repro cache verify`` — scans for them).
 * Builders without a digestable parameter description (ad-hoc lambdas) and
   traces without a generation signature still execute — they just skip the
-  result cache / pool (snapshot sharing is per plan either way).
+  result cache / pool.
 * ``REPRO_CACHE_DIR`` overrides the on-disk cache location;
   ``REPRO_SIM_VERSION`` pins the simulator version (used by tests and CI).
 
@@ -91,7 +87,7 @@ import tempfile
 import threading
 import time
 import warnings
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -432,7 +428,7 @@ class TracePool:
 
 # ---------------------------------------------------------------- result cache
 def _result_to_row(result: RunResult) -> Dict[str, object]:
-    """The JSON row shared by cache entries and journal lines."""
+    """The JSON row shared by cache entries and result-store rows."""
     return {
         "system": result.system,
         "workload": result.workload,
@@ -457,26 +453,6 @@ def _result_from_row(row: Dict[str, object]) -> RunResult:
         activity=dict(row["activity"]),
         core_stats=dict(row["core_stats"]),
     )
-
-
-#: Checkpoint journals older than this belong to sweeps nobody will
-#: resume; ``ResultCache.prune`` ages them out (override with the
-#: ``REPRO_JOURNAL_MAX_AGE_DAYS`` environment variable).
-JOURNAL_MAX_AGE_DAYS = 7.0
-
-
-def _journal_max_age_days() -> float:
-    env = os.environ.get("REPRO_JOURNAL_MAX_AGE_DAYS")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            warnings.warn(
-                f"REPRO_JOURNAL_MAX_AGE_DAYS={env!r} is not a number; ignoring it",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return JOURNAL_MAX_AGE_DAYS
 
 
 def default_cache_dir() -> str:
@@ -537,12 +513,8 @@ class ResultCache:
         Returns the number of entries deleted (0 when unlimited or within
         budget).  Entry age is the access time recorded on hits and
         writes; ties and IO races degrade gracefully (a file someone else
-        already removed just counts as pruned).  Journals of abandoned
-        sweeps are aged out alongside (:meth:`prune_stale_journals`);
-        they are checkpoints, not entries, so they do not count toward
-        the returned total.
+        already removed just counts as pruned).
         """
-        self.prune_stale_journals()
         if self.limit_bytes is None:
             return 0
         root = os.path.join(self.directory, "results")
@@ -574,38 +546,6 @@ class ResultCache:
                 deleted += 1
                 if total <= self.limit_bytes:
                     break
-        return deleted
-
-    def prune_stale_journals(self, max_age_days: Optional[float] = None) -> int:
-        """Delete checkpoint journals of abandoned sweeps; return the count.
-
-        A live sweep fsyncs an append into its journal with every
-        completed job, so a journal whose mtime is older than
-        ``max_age_days`` (default :data:`JOURNAL_MAX_AGE_DAYS`, override
-        with ``REPRO_JOURNAL_MAX_AGE_DAYS``) belongs to a sweep nobody
-        resumed — the one case :class:`SweepJournal` itself can never
-        clean up, because its ``delete`` only runs when the sweep
-        completes.
-        """
-        if max_age_days is None:
-            max_age_days = _journal_max_age_days()
-        root = os.path.join(self.directory, "journals")
-        cutoff = time.time() - max_age_days * 86400.0
-        deleted = 0
-        try:
-            names = os.listdir(root)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            path = os.path.join(root, name)
-            try:
-                if os.stat(path).st_mtime < cutoff:
-                    os.remove(path)
-                    deleted += 1
-            except OSError:
-                pass
         return deleted
 
     def _path(self, key: str) -> str:
@@ -651,8 +591,8 @@ class ResultCache:
         def write(tmp: str) -> None:
             with open(tmp, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True)
-                # Durability before visibility: entries double as sweep
-                # checkpoints, so a crash right after os.replace must not
+                # Durability before visibility: entries are the sweep
+                # checkpoint, so a crash right after os.replace must not
                 # leave a half-written page behind.
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -668,8 +608,8 @@ class ResultCache:
                 )
             return
         faults.on_write("result-cache", path)
-        # Amortised even without a size limit: prune() then only ages out
-        # abandoned journals, which is one directory listing.
+        if self.limit_bytes is None:
+            return
         count = self._puts_since_prune
         if count is None or count + 1 >= self.PRUNE_EVERY:
             self.prune()
@@ -683,20 +623,14 @@ class ResultCache:
         Every entry is parsed and rebuilt exactly the way a lookup would
         rebuild it; entries that fail (truncated JSON, wrong schema,
         mistyped fields) are *corrupt* and — with ``delete``, the default —
-        removed, as are ``.tmp`` leftovers of crashed writers.  Checkpoint
-        journals are audited too: ``journals`` counts them and
-        ``stale_journals`` the ones past the abandonment age (deleted
-        with ``delete``).  Returns ``{"checked", "corrupt", "stale_tmp",
-        "journals", "stale_journals", "deleted"}`` counts; each corrupt
-        entry is also reported through a :class:`RuntimeWarning`.
+        removed, as are ``.tmp`` leftovers of crashed writers.  Returns
+        ``{"checked", "corrupt", "stale_tmp", "deleted"}`` counts; each
+        corrupt entry is also reported through a :class:`RuntimeWarning`.
         Surviving entries are byte-untouched, so verification never
         changes what a warm sweep replays.
         """
         root = os.path.join(self.directory, "results")
-        report = {
-            "checked": 0, "corrupt": 0, "stale_tmp": 0,
-            "journals": 0, "stale_journals": 0, "deleted": 0,
-        }
+        report = {"checked": 0, "corrupt": 0, "stale_tmp": 0, "deleted": 0}
 
         def remove(path: str) -> None:
             if delete:
@@ -730,130 +664,7 @@ class ResultCache:
                         stacklevel=2,
                     )
                     remove(path)
-        cutoff = time.time() - _journal_max_age_days() * 86400.0
-        journal_root = os.path.join(self.directory, "journals")
-        try:
-            journal_names = os.listdir(journal_root)
-        except OSError:
-            journal_names = []
-        for name in journal_names:
-            if not name.endswith(".jsonl"):
-                continue
-            report["journals"] += 1
-            path = os.path.join(journal_root, name)
-            try:
-                stale = os.stat(path).st_mtime < cutoff
-            except OSError:
-                continue
-            if stale:
-                report["stale_journals"] += 1
-                remove(path)
         return report
-
-
-# ---------------------------------------------------------------- sweep journal
-class SweepJournal:
-    """Append-only, fsync'd checkpoint of one sweep's completed jobs.
-
-    One JSONL file per sweep (named by the digest of the sweep's ordered
-    cache keys) under ``<cache dir>/journals``.  Every committed result
-    appends one line and is fsync'd immediately, so even a SIGKILL'd
-    sweep loses at most the job in flight.  On the next run of the same
-    sweep, journal rows restore completed results that the cache no
-    longer holds (pruned, corrupted, or wiped); a sweep that completes
-    cleanly deletes its journal.  Corrupt or truncated lines — the
-    expected tail of a crash — are skipped, never trusted.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = None
-        self._write_failed = False
-
-    @classmethod
-    def for_plan(cls, cache_directory: str, keys: Iterable[str]) -> "SweepJournal":
-        digest = hashlib.sha256(
-            json.dumps(list(keys)).encode("utf-8")
-        ).hexdigest()
-        return cls(os.path.join(cache_directory, "journals", f"{digest}.jsonl"))
-
-    def load(self) -> Dict[str, Dict[str, object]]:
-        """Rows of a previous interrupted run, keyed by cache key."""
-        rows: Dict[str, Dict[str, object]] = {}
-        skipped = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        if entry.get("schema") != RESULT_SCHEMA:
-                            raise ValueError("schema mismatch")
-                        _result_from_row(entry["result"])  # validate now
-                        rows[entry["key"]] = entry["result"]
-                    except (ValueError, KeyError, TypeError):
-                        skipped += 1
-        except FileNotFoundError:
-            return {}
-        except OSError as exc:
-            warnings.warn(
-                f"sweep journal: unreadable ({exc}); resuming from cache only",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return {}
-        if skipped:
-            warnings.warn(
-                f"sweep journal: skipped {skipped} corrupt line(s) in {self.path} "
-                "(interrupted write); the jobs re-simulate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return rows
-
-    def append(self, key: str, result: RunResult,
-               meta: Optional[Dict[str, object]] = None) -> None:
-        if self._write_failed:
-            return
-        try:
-            if self._handle is None:
-                os.makedirs(os.path.dirname(self.path), exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            entry: Dict[str, object] = {
-                "schema": RESULT_SCHEMA, "key": key, "result": _result_to_row(result),
-            }
-            if meta is not None:
-                entry["meta"] = meta
-            line = json.dumps(entry, sort_keys=True)
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except OSError as exc:
-            # An unwritable journal costs resumability, not correctness.
-            self._write_failed = True
-            warnings.warn(
-                f"sweep journal: disabled ({exc})", RuntimeWarning, stacklevel=2
-            )
-            return
-        faults.on_write("journal", self.path)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
-
-    def delete(self) -> None:
-        """The sweep completed: the checkpoint has served its purpose."""
-        self.close()
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
 
 
 def _core_config_digest(core_config: Optional[CoreConfig]) -> str:
@@ -962,68 +773,6 @@ def compile_sweep(
     return RunPlan(jobs=jobs, builders=builders, traces=sources, core_config=core_config)
 
 
-# ------------------------------------------------------------------ snapshots
-#: Builders whose systems failed to pickle; they fall back to the direct
-#: build-and-prewarm path permanently (per process).  Holds the factory
-#: objects themselves (identity semantics) — keeping them alive on purpose,
-#: so a recycled id() can never misclassify an unrelated builder.
-_UNPICKLABLE_BUILDERS: set = set()
-
-
-def _prewarmed_system(
-    builder: BuilderSpec,
-    trace: Trace,
-    snapshot_key: Optional[Tuple[str, str]],
-    blobs: Dict[Tuple[str, str], bytes],
-    stats: "ExecutionStats",
-):
-    """A functionally-prewarmed system, cloned from a snapshot when possible.
-
-    ``snapshot_key`` is set only for (builder, trace) pairs the plan runs
-    more than once (see :func:`execute`); without one the system is built
-    and prewarmed directly.  The snapshot is taken right after ``prewarm``
-    — before any timed state exists — so the blob preserves exactly the
-    state a fresh build-and-prewarm produces.  The job that *creates* a
-    snapshot runs on the pristine original (no unpickle); every later job
-    of the same pair runs on an unpickled clone from ``blobs``.  A corrupt
-    blob is discarded, rebuilt fresh, and never trusted.
-    Clone-equals-fresh is enforced by the differential tests in
-    ``tests/test_plan.py``.
-    """
-    snapshotting = (
-        snapshot_key is not None and builder.factory not in _UNPICKLABLE_BUILDERS
-    )
-    blob = blobs.get(snapshot_key) if snapshotting else None
-    if blob is not None:
-        try:
-            system = pickle.loads(blob)
-        except Exception as exc:
-            # A corrupt blob (bit rot, injected fault) degrades to the
-            # direct build-and-prewarm path and is replaced by a fresh
-            # snapshot — never trusted, never fatal.
-            del blobs[snapshot_key]
-            warnings.warn(
-                f"prewarm snapshot: discarding corrupt blob ({exc}); rebuilding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            stats.snapshot_clones += 1
-            return system
-    system = builder.factory()
-    system.prewarm(trace.resident_addresses())
-    if not snapshotting:
-        return system
-    try:
-        blob = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        _UNPICKLABLE_BUILDERS.add(builder.factory)
-        return system
-    blobs[snapshot_key] = faults.mangle_blob(blob)
-    stats.snapshot_builds += 1
-    return system
-
-
 # ------------------------------------------------------------------- executor
 @dataclass
 class ExecutionStats:
@@ -1032,21 +781,18 @@ class ExecutionStats:
     ``simulated`` counts jobs that went to simulation (a retried job
     counts once — fault runs and clean runs report identical counts);
     ``retries`` / ``timeouts`` / ``quarantined`` count supervision
-    events; ``resumed_from_journal`` counts results restored from an
-    interrupted sweep's checkpoint; ``store_hits`` counts results served
-    by the SQLite result store after a cache miss; ``inflight_hits``
-    counts results adopted from an identical job that another thread of
-    this process was already simulating; ``workers_effective`` records
-    the peak number of processes that actually executed jobs (1 when
-    in-process), so reports show what really ran.  ``pool_reused`` counts
-    worker acquisitions served by an already-warm persistent-pool worker
-    (instead of a fork); ``snapshot_builds`` / ``snapshot_clones`` count
-    prewarm snapshots pickled and cloned for (builder, trace) pairs the
-    plan repeats.  ``job_s`` sums the wall seconds of every simulated job,
-    measured where it ran (a pool worker or this process), so ``job_s /
-    (wall * workers_effective)`` shows how busy the workers were; like
-    every counter here it never enters a digest, a cache entry, or a
-    report artifact.
+    events; ``store_hits`` counts results served by the SQLite result
+    store after a cache miss; ``inflight_hits`` counts results adopted
+    from an identical job that another thread of this process was
+    already simulating; ``workers_effective`` records the peak number of
+    processes that actually executed jobs (1 when in-process), so
+    reports show what really ran.  ``pool_reused`` counts worker
+    acquisitions served by an already-warm persistent-pool worker
+    (instead of a fork).  ``job_s`` sums the wall seconds of every
+    simulated job, measured where it ran (a pool worker or this
+    process), so ``job_s / (wall * workers_effective)`` shows how busy
+    the workers were; like every counter here it never enters a digest,
+    a cache entry, or a report artifact.
     """
 
     jobs: int = 0
@@ -1054,15 +800,12 @@ class ExecutionStats:
     cached: int = 0
     store_hits: int = 0
     inflight_hits: int = 0
-    snapshot_builds: int = 0
-    snapshot_clones: int = 0
     pool_loads: int = 0
     pool_saves: int = 0
     pool_reused: int = 0
     retries: int = 0
     timeouts: int = 0
     quarantined: int = 0
-    resumed_from_journal: int = 0
     workers_effective: int = 0
     job_s: float = 0.0
 
@@ -1072,15 +815,12 @@ class ExecutionStats:
         self.cached += other.cached
         self.store_hits += other.store_hits
         self.inflight_hits += other.inflight_hits
-        self.snapshot_builds += other.snapshot_builds
-        self.snapshot_clones += other.snapshot_clones
         self.pool_loads += other.pool_loads
         self.pool_saves += other.pool_saves
         self.pool_reused += other.pool_reused
         self.retries += other.retries
         self.timeouts += other.timeouts
         self.quarantined += other.quarantined
-        self.resumed_from_journal += other.resumed_from_journal
         self.workers_effective = max(self.workers_effective, other.workers_effective)
         self.job_s += other.job_s
 
@@ -1089,19 +829,16 @@ class ExecutionStats:
         # existing "token=value " shapes and must keep matching.
         return (
             f"jobs={self.jobs} simulated={self.simulated} cached={self.cached} "
-            f"snapshot_clones={self.snapshot_clones} pool_loads={self.pool_loads} "
+            f"pool_loads={self.pool_loads} "
             f"workers_effective={self.workers_effective} retries={self.retries} "
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
-            f"resumed_from_journal={self.resumed_from_journal} "
             f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
             f"pool_reused={self.pool_reused} job_s={self.job_s:.3f}"
         )
 
     def degraded(self) -> bool:
         """True when this execution needed any fault-recovery machinery."""
-        return bool(
-            self.retries or self.timeouts or self.quarantined or self.resumed_from_journal
-        )
+        return bool(self.retries or self.timeouts or self.quarantined)
 
 
 # --------------------------------------------------------------- supervision
@@ -1311,33 +1048,41 @@ def _warn_cache_bypassed(version: str) -> None:
         )
 
 
-def _run_job(
-    plan: RunPlan,
+def _simulate_job(
     job: JobSpec,
+    builder: BuilderSpec,
     trace: Trace,
-    snapshot_key: Optional[Tuple[str, str]],
-    blobs: Dict[Tuple[str, str], bytes],
-    stats: ExecutionStats,
+    workload: str,
+    category: str,
+    core_config: Optional[CoreConfig],
 ) -> RunResult:
-    """Simulate one job in this process, timed into ``stats.job_s``."""
-    started = time.perf_counter()
-    builder = plan.builders[job.builder]
-    source = plan.traces[job.trace]
+    """Build → prewarm → simulate one job: the one path every job takes,
+    in this process (:func:`_run_job`) and on a pool worker
+    (:func:`_run_payload`) alike."""
+    system = builder.factory()
     if job.prewarm:
-        system = _prewarmed_system(builder, trace, snapshot_key, blobs, stats)
-    else:
-        system = builder.factory()
-    core = OoOCore(trace, system, config=plan.core_config)
+        system.prewarm(trace.resident_addresses())
+    core = OoOCore(trace, system, config=core_config)
     summary = simulate(core, mode=job.mode)
-    result = RunResult(
+    return RunResult(
         system=job.system,
-        workload=source.name,
-        category=source.category,
+        workload=workload,
+        category=category,
         ipc=summary["ipc"],
         cycles=summary["cycles"],
         instructions=summary["instructions"],
         activity=system.activity(),
         core_stats=core.stats.as_dict(),
+    )
+
+
+def _run_job(plan: RunPlan, job: JobSpec, trace: Trace, stats: ExecutionStats) -> RunResult:
+    """Simulate one job in this process, timed into ``stats.job_s``."""
+    started = time.perf_counter()
+    source = plan.traces[job.trace]
+    result = _simulate_job(
+        job, plan.builders[job.builder], trace, source.name, source.category,
+        plan.core_config,
     )
     stats.job_s += time.perf_counter() - started
     return result
@@ -1371,8 +1116,7 @@ class _TraceTransportError(RuntimeError):
     supervisor retries the job with the record bytes shipped inline."""
 
 
-#: Per-worker cache entries retained, for decoded traces and for snapshot
-#: blobs alike (both keyed by content).
+#: Decoded traces each pool worker retains (keyed by content).
 _WORKER_CACHE_CAP = 8
 
 
@@ -1419,68 +1163,37 @@ def _payload_trace(payload: Dict[str, object], cache: "OrderedDict") -> Trace:
 
 
 def _run_payload(
-    payload: Dict[str, object],
-    trace_cache: "OrderedDict",
-    blobs: "OrderedDict",
-) -> Tuple[RunResult, Tuple[int, int, float]]:
-    """Run one shipped job inside a pool worker; returns (result, counters).
+    payload: Dict[str, object], trace_cache: "OrderedDict"
+) -> Tuple[RunResult, float]:
+    """Run one shipped job inside a pool worker; returns (result, job_s).
 
-    ``blobs`` is the worker's snapshot map: jobs of one plan that repeat a
-    (builder, trace) pair clone from it when they land on the same worker.
-    It is keyed by content digests, so sharing it across sweeps is sound,
-    and bounded like the trace cache.  The counters tuple is this job's
-    ``(snapshot_builds, snapshot_clones, job_s)`` delta — per-worker stats
-    die with the worker, so each reply carries its own delta back to the
-    supervisor.
+    Per-worker stats die with the worker, so each reply carries the job's
+    wall seconds back to the supervisor.
     """
     started = time.perf_counter()
-    builder: BuilderSpec = payload["builder"]
-    trace = _payload_trace(payload, trace_cache)
-    scratch = ExecutionStats()
-    if payload["prewarm"]:
-        system = _prewarmed_system(
-            builder, trace, payload["snapshot_key"], blobs, scratch
-        )
-        while len(blobs) > _WORKER_CACHE_CAP:
-            blobs.popitem(last=False)
-    else:
-        system = builder.factory()
-    core = OoOCore(trace, system, config=payload["core_config"])
-    summary = simulate(core, mode=payload["mode"])
-    result = RunResult(
-        system=payload["system"],
-        workload=payload["workload"],
-        category=payload["category"],
-        ipc=summary["ipc"],
-        cycles=summary["cycles"],
-        instructions=summary["instructions"],
-        activity=system.activity(),
-        core_stats=core.stats.as_dict(),
+    result = _simulate_job(
+        payload["job"], payload["builder"], _payload_trace(payload, trace_cache),
+        payload["workload"], payload["category"], payload["core_config"],
     )
-    return result, (
-        scratch.snapshot_builds, scratch.snapshot_clones,
-        time.perf_counter() - started,
-    )
+    return result, time.perf_counter() - started
 
 
 def _pool_worker(conn) -> None:
     """One persistent pool worker: receive a job payload, run it, reply.
 
-    Jobs arrive as self-contained payload dicts (picklable builder spec,
-    trace reference, snapshot addressing, pre-matched fault action) — the
-    worker outlives the ``execute()`` call that forked it and serves any
-    later sweep, so nothing may depend on fork-time sweep state.  Replies
-    ``(index, RunResult | _JobError, (snapshot_builds, snapshot_clones,
-    job_s))``;
-    no exception escapes — the supervisor, not the worker, decides between
-    retry and quarantine.  Exits on a ``None`` sentinel or a broken pipe.
+    Jobs arrive as self-contained payload dicts (job spec, picklable
+    builder spec, trace reference, pre-matched fault action) — the worker
+    outlives the ``execute()`` call that forked it and serves any later
+    sweep, so nothing may depend on fork-time sweep state.  Replies
+    ``(index, RunResult | _JobError, job_s)``; no exception escapes — the
+    supervisor, not the worker, decides between retry and quarantine.
+    Exits on a ``None`` sentinel or a broken pipe.
     """
     # Fault plans are matched by the supervisor and shipped per job; a
     # plan inherited over fork must not also fire worker-side (its
     # counters would race the parent's).
     faults.install(None)
     trace_cache: "OrderedDict" = OrderedDict()
-    blobs: "OrderedDict" = OrderedDict()
     while True:
         try:
             message = conn.recv()
@@ -1489,14 +1202,14 @@ def _pool_worker(conn) -> None:
         if message is None:
             return
         index = message["index"]
-        counters = (0, 0, 0.0)
+        seconds = 0.0
         payload: object
         try:
             action = faults.apply_worker_action(message.get("action"), message["label"])
             if action == "garbage":
                 payload = "\x00injected-garbage-payload"
             else:
-                payload, counters = _run_payload(message, trace_cache, blobs)
+                payload, seconds = _run_payload(message, trace_cache)
         except Exception as exc:
             payload = _JobError(
                 type(exc).__name__,
@@ -1504,7 +1217,7 @@ def _pool_worker(conn) -> None:
                 isinstance(exc, (SimulationError, ConfigurationError)),
             )
         try:
-            conn.send((index, payload, counters))
+            conn.send((index, payload, seconds))
         except (BrokenPipeError, OSError):
             return
 
@@ -1525,11 +1238,10 @@ class _WorkerPool:
 
     Workers are forked lazily on first demand, parked idle when a sweep's
     supervisor releases them, and handed — still warm, with their decoded
-    traces and snapshot map intact — to the next sweep that asks, whether
-    that sweep runs in this thread or a concurrent service thread.  Jobs
-    travel as self-contained payloads, so nothing here depends on
-    fork-time sweep state and no fork lock serializes concurrent
-    supervised fan-outs.
+    traces intact — to the next sweep that asks, whether that sweep runs
+    in this thread or a concurrent service thread.  Jobs travel as
+    self-contained payloads, so nothing here depends on fork-time sweep
+    state and no fork lock serializes concurrent supervised fan-outs.
 
     Supervision is unchanged and lives in :class:`_SupervisedExecutor`:
     a crashed, hung, or garbage-spewing worker is discarded (never
@@ -1787,7 +1499,7 @@ class _SupervisedExecutor:
     both the completion signal (a reply arrives) and the death signal
     (the pipe hits EOF), and enforces each job's wall-clock deadline by
     SIGKILLing and replacing the worker.  Completed results are committed
-    — cache, journal, caller callback — the moment they arrive, which is
+    — cache, store, caller callback — the moment they arrive, which is
     what makes an interrupted sweep resumable.
 
     Workers are leased from the process-global persistent pool
@@ -2049,10 +1761,7 @@ class _SupervisedExecutor:
             )
             return
         if valid and isinstance(payload, RunResult):
-            builds, clones, seconds = message[2]
-            self.stats.snapshot_builds += builds
-            self.stats.snapshot_clones += clones
-            self.stats.job_s += seconds
+            self.stats.job_s += message[2]
             worker.pool_worker.jobs_done += 1
             self.commit(entry, payload)
             self.remaining -= 1
@@ -2085,7 +1794,6 @@ def execute(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     pool: Optional[TracePool] = None,
-    snapshots: bool = True,
     trace_memo: bool = True,
     supervision: Optional[SupervisionPolicy] = None,
     on_result: Optional[Callable[[JobSpec, RunResult], None]] = None,
@@ -2109,18 +1817,11 @@ def execute(
             fork lock).
         cache: result cache; ``None`` disables memoization.  A ``-dirty``
             or unknown simulator version bypasses a configured cache with a
-            warning.  An active cache also activates the per-sweep
-            checkpoint journal: completed jobs are committed as they
-            finish, and an interrupted sweep resumes from them.
+            warning.  The cache is also the sweep's checkpoint: each job
+            is committed to it the moment it finishes, so an interrupted
+            sweep resumes from the committed jobs.
         pool: trace pool; defaults to ``<cache dir>/traces`` when a cache
             is active, else in-memory synthesis.
-        snapshots: clone prewarmed hierarchies across the jobs this call
-            simulates that repeat a (builder, trace) pair (a duplicate
-            served by an in-flight twin does not count): the first pickles
-            a snapshot into a map local to this call, the others clone it.
-            A pair that occurs once is built and prewarmed directly, with
-            no pickle.  Disable to force the direct build-and-prewarm path
-            for every job.
         trace_memo: share immutable synthesized traces (and their cached
             decode / resident set / digest) across execute calls in this
             process; disable to force per-plan materialization.
@@ -2128,8 +1829,8 @@ def execute(
             (defaults to :class:`SupervisionPolicy`'s defaults; an active
             fault plan may override fields for testing).
         on_result: streaming-completion hook, called as each job's result
-            becomes available (cache hit, journal restore, store hit,
-            in-flight adoption, or fresh simulation; completion order
+            becomes available (cache hit, store hit, in-flight adoption,
+            or fresh simulation; completion order
             under workers is nondeterministic).
         on_progress: called as ``callback(done, total, stats)`` after
             every landed job and once more when the sweep finishes
@@ -2197,8 +1898,7 @@ def execute(
     results: List[Optional[RunResult]] = [None] * len(plan.jobs)
 
     # Content-address every job up front: the keys name the cache entries,
-    # the journal rows, the store rows, the in-flight claims, and (digested
-    # together) the sweep's journal file.  The metas carry the digest
+    # the store rows and the in-flight claims.  The metas carry the digest
     # provenance the store persists per row.
     keys: List[Optional[str]] = [None] * len(plan.jobs)
     metas: List[Optional[Dict[str, object]]] = [None] * len(plan.jobs)
@@ -2220,14 +1920,6 @@ def execute(
                     "mode": job.mode,
                 }
 
-    journal: Optional[SweepJournal] = None
-    journal_rows: Dict[str, Dict[str, object]] = {}
-    if active_cache is not None and any(key is not None for key in keys):
-        journal = SweepJournal.for_plan(
-            active_cache.directory, [key for key in keys if key is not None]
-        )
-        journal_rows = journal.load()
-
     def store_put(index: int, key: str, result: RunResult) -> None:
         if active_store is not None:
             active_store.put(key, result, meta=metas[index])
@@ -2246,20 +1938,6 @@ def execute(
                     store_put(index, key, hit)
                     if on_result is not None:
                         on_result(job, hit)
-                    note_done()
-                    continue
-                row = journal_rows.get(key)
-                if row is not None:
-                    # An interrupted sweep checkpointed this job; restore it
-                    # and repair the cache entry the crash (or pruning) lost.
-                    restored = _result_from_row(row)
-                    restored.system = job.system
-                    results[index] = restored
-                    stats.resumed_from_journal += 1
-                    active_cache.put(key, restored, meta=metas[index])
-                    store_put(index, key, restored)
-                    if on_result is not None:
-                        on_result(job, restored)
                     note_done()
                     continue
             if active_store is not None:
@@ -2293,28 +1971,10 @@ def execute(
             waiting.append((index, job, key, entry))
 
     failures: List[JobFailure] = []
-    completed_ok = False
     try:
         if pending:
-            # Snapshot only what this plan reuses: a (builder, trace) pair
-            # gets a key when at least two jobs simulated here share it.
-            # Counted over the owned jobs, not per distinct JobSpec, so
-            # identical duplicate jobs share a snapshot too, while a
-            # duplicate that waits on an in-flight twin counts for nothing.
-            pair_of: Dict[JobSpec, Tuple[str, str]] = {}
-            for index, job, key in pending:
+            for _, job, _ in pending:
                 materialize(job.trace)  # pool files land before any dispatch
-                if snapshots and job.prewarm and job not in pair_of:
-                    builder_digest = plan.builders[job.builder].digest()
-                    pair_of[job] = (
-                        builder_digest or f"adhoc:{job.builder}",
-                        content_digest(job.trace),
-                    )
-            uses = Counter(pair_of[job] for _, job, _ in owned if job in pair_of)
-            snapshot_keys = {
-                job: pair for job, pair in pair_of.items() if uses[pair] > 1
-            }
-            blobs: Dict[Tuple[str, str], bytes] = {}
             stats.simulated = len(owned)
 
             def commit(index: int, job: JobSpec, key: Optional[str],
@@ -2324,8 +1984,6 @@ def execute(
                 if key is not None:
                     if active_cache is not None:
                         active_cache.put(key, result, meta=metas[index])
-                    if journal is not None:
-                        journal.append(key, result, meta=metas[index])
                     store_put(index, key, result)
                     if key in claimed:
                         # Hand waiters their own copy: results are mutable
@@ -2409,22 +2067,16 @@ def execute(
                         "action": faults.worker_job_action(
                             entry.label(), entry.seq, entry.attempts
                         ),
-                        "system": job.system,
+                        "job": job,
                         "workload": source.name,
                         "category": source.category,
                         "builder": plan.builders[job.builder],
                         "trace_ref": trace_ref(entry),
-                        "prewarm": job.prewarm,
-                        "mode": job.mode,
                         "core_config": plan.core_config,
-                        "snapshot_key": snapshot_keys.get(job),
                     }
 
                 def run_local(entry: _Pending) -> RunResult:
-                    return _run_job(
-                        plan, entry.job, traces[entry.job.trace],
-                        snapshot_keys.get(entry.job), blobs, stats,
-                    )
+                    return _run_job(plan, entry.job, traces[entry.job.trace], stats)
 
                 executor = _SupervisedExecutor(
                     entries,
@@ -2442,13 +2094,7 @@ def execute(
             elif owned:
                 stats.workers_effective = max(stats.workers_effective, 1)
                 for index, job, key in owned:
-                    commit(
-                        index, job, key,
-                        _run_job(
-                            plan, job, traces[job.trace], snapshot_keys.get(job),
-                            blobs, stats,
-                        ),
-                    )
+                    commit(index, job, key, _run_job(plan, job, traces[job.trace], stats))
 
             if waiting:
                 # Quarantined owned jobs never committed: release their
@@ -2475,32 +2121,18 @@ def execute(
                         stats.simulated += 1
                         stats.workers_effective = max(stats.workers_effective, 1)
                         commit(
-                            index, job, key,
-                            _run_job(
-                                plan, job, traces[job.trace], snapshot_keys.get(job),
-                                blobs, stats,
-                            ),
+                            index, job, key, _run_job(plan, job, traces[job.trace], stats)
                         )
                         continue
                     result = _copy_result(adopted)
                     result.system = job.system
                     stats.inflight_hits += 1
                     commit(index, job, key, result)
-        completed_ok = not failures
     finally:
         # Claims left over (exception mid-sweep, quarantined jobs with no
         # same-plan waiter) must wake cross-thread waiters.
         for key in list(claimed):
             _INFLIGHT.abandon(key)
-        if journal is not None:
-            if completed_ok:
-                # The sweep finished: the cache holds everything, the
-                # checkpoint has served its purpose.
-                journal.delete()
-            else:
-                # Interrupted (exception) or partially failed: keep the
-                # journal so the next run resumes from it.
-                journal.close()
 
     if progress is not None:
         progress(done, total, stats)

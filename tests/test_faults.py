@@ -87,9 +87,9 @@ class TestMatching:
         assert faults.worker_job("A/t", 0, 1) is None  # spent
 
     def test_path_substring(self):
-        spec = FaultSpec(site="journal", op="delete", path="journals")
-        assert spec.matches(path="/tmp/cache/journals/abc.jsonl")
-        assert not spec.matches(path="/tmp/cache/results/abc.json")
+        spec = FaultSpec(site="result-cache", op="delete", path="results")
+        assert spec.matches(path="/tmp/cache/results/ab/abc.json")
+        assert not spec.matches(path="/tmp/cache/traces/abc.lntr")
 
     def test_garbage_op_returns_marker(self):
         faults.install(FaultPlan(specs=[FaultSpec(site="worker-job", op="garbage")]))
@@ -121,8 +121,8 @@ class TestFileOps:
 
     def test_truncate_halves(self, tmp_path):
         path = self._write(tmp_path)
-        faults.install(FaultPlan(specs=[FaultSpec(site="journal", op="truncate")]))
-        faults.on_write("journal", path)
+        faults.install(FaultPlan(specs=[FaultSpec(site="result-cache", op="truncate")]))
+        faults.on_write("result-cache", path)
         assert os.path.getsize(path) == 50
 
     def test_delete_removes(self, tmp_path):
@@ -145,14 +145,6 @@ class TestFileOps:
         path = self._write(tmp_path)
         faults.on_write("result-cache", path)
         assert open(path, "rb").read() == b"x" * 100
-
-    def test_mangle_blob(self):
-        blob = b"y" * 100
-        assert faults.mangle_blob(blob) == blob  # no plan
-        faults.install(FaultPlan(specs=[FaultSpec(site="snapshot-blob", op="corrupt")]))
-        mangled = faults.mangle_blob(blob)
-        assert mangled != blob
-        assert len(mangled) == len(blob)
 
 
 class TestSpawn:

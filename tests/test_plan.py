@@ -1,10 +1,10 @@
 """Differential tests for the declarative run-plan layer.
 
-The contract of :mod:`repro.sim.plan`: every fast path — prewarm-snapshot
-cloning, file-backed trace-pool replay, the content-addressed result cache,
-worker fan-out — must be **bit-identical** (cycles, IPC, every activity and
-core counter) to the direct path (fresh build, per-job prewarm, per-job
-synthesis, sequential, uncached).  These tests enforce it across all four
+The contract of :mod:`repro.sim.plan`: every fast path — file-backed
+trace-pool replay, the content-addressed result cache, worker fan-out —
+must be **bit-identical** (cycles, IPC, every activity and core counter)
+to the direct path (fresh build, per-job prewarm, per-job synthesis,
+sequential, uncached).  These tests enforce it across all four
 hierarchy types, warm and cold.
 """
 
@@ -13,6 +13,7 @@ import os
 import sys
 import threading
 import warnings
+from collections import OrderedDict
 
 import pytest
 
@@ -91,23 +92,74 @@ def _dummy_result(workload):
     )
 
 
-# ----------------------------------------------------------------- snapshots
-class TestSnapshotBitIdentity:
+def direct_path(compiled, specs):
+    """The direct path for every job of ``compiled``: a fresh build, its
+    own prewarm and its own synthesis per job, via ``run_workload``."""
+    by_name = {spec.name: spec for spec in specs}
+    results = []
+    for job in compiled.jobs:
+        result = run_workload(
+            compiled.builders[job.builder].factory, by_name[job.trace],
+            job.num_instructions, prewarm=job.prewarm,
+        )
+        result.system = job.system
+        results.append(result)
+    return results
+
+
+# ------------------------------------------------------------ repeated jobs
+class TestRepeatedJobs:
+    """Jobs a plan repeats build and prewarm their own hierarchy, like every
+    other job, and stay bit-identical to the direct path."""
+
     @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
-    def test_snapshot_clone_matches_fresh_prewarm(self, name):
-        """Runs on cloned prewarm snapshots equal direct run_workload."""
+    def test_repeated_jobs_match_fresh_prewarm(self, name):
         spec = two_workloads()[0]
         builder = FOUR_HIERARCHIES[name]
         direct = run_workload(builder.factory, spec, TINY, prewarm=True)
         direct.system = name
-        # Three identical jobs: the first builds the snapshot and runs on
-        # the pristine original, the later two run on unpickled clones.
         compiled = compile_sweep({name: builder}, [spec], TINY)
         compiled.jobs = compiled.jobs * 3
         planned = execute(compiled)
-        assert planned.stats.snapshot_builds == 1
-        assert planned.stats.snapshot_clones == 2
+        assert planned.stats.simulated == 3
         assert_identical([direct, direct, direct], planned.results)
+
+    @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
+    def test_repeated_jobs_across_workers_match_fresh_prewarm(self, name):
+        spec = two_workloads()[0]
+        builder = FOUR_HIERARCHIES[name]
+        direct = run_workload(builder.factory, spec, TINY, prewarm=True)
+        direct.system = name
+        compiled = compile_sweep({name: builder}, [spec], TINY)
+        compiled.jobs = compiled.jobs * 3
+        planned = execute(compiled, workers=2)
+        assert not planned.failures
+        assert planned.stats.simulated == 3
+        assert_identical([direct, direct, direct], planned.results)
+
+    @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
+    def test_pool_payload_takes_the_in_process_path(self, name):
+        """A pool worker's payload and an in-process job run the same
+        build -> prewarm -> simulate helper, so their results match."""
+        spec = two_workloads()[0]
+        compiled = compile_sweep({name: FOUR_HIERARCHIES[name]}, [spec], TINY)
+        job = compiled.jobs[0]
+        source = compiled.traces[job.trace]
+        trace = source.build()
+        stats = ExecutionStats()
+        local = plan._run_job(compiled, job, trace, stats)
+        assert stats.job_s > 0.0
+        payload = {
+            "job": job,
+            "builder": compiled.builders[job.builder],
+            "workload": source.name,
+            "category": source.category,
+            "core_config": compiled.core_config,
+            "trace_ref": ("bytes", trace.name, trace.category, records_bytes(trace)),
+        }
+        shipped, job_s = plan._run_payload(payload, OrderedDict())
+        assert job_s > 0.0
+        assert_identical([local], [shipped])
 
     @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
     def test_cold_runs_match_direct(self, name):
@@ -117,104 +169,70 @@ class TestSnapshotBitIdentity:
         direct = run_workload(builder.factory, spec, TINY, prewarm=False)
         direct.system = name
         planned = execute(compile_sweep({name: builder}, [spec], TINY, prewarm=False))
-        assert planned.stats.snapshot_clones == 0
         assert_identical([direct], planned.results)
 
-    def test_unrepeated_pairs_pickle_nothing(self, cache):
-        """Snapshots are taken only for (builder, trace) pairs a plan repeats."""
-        compiled = compile_sweep(FOUR_HIERARCHIES, two_workloads(), TINY)
+    def test_cached_sweep_matches_direct(self, cache):
+        specs = two_workloads()
+        compiled = compile_sweep(FOUR_HIERARCHIES, specs, TINY)
         planned = execute(compiled, cache=cache)
         assert planned.stats.simulated == len(compiled.jobs)
-        assert planned.stats.snapshot_builds == 0
-        assert planned.stats.snapshot_clones == 0
-        assert not os.path.exists(os.path.join(cache.directory, "snapshots"))
-        direct = execute(compiled, snapshots=False)
-        assert_identical(planned.results, direct.results)
+        assert_identical(planned.results, direct_path(compiled, specs))
 
-    def test_only_repeated_pairs_are_snapshotted(self):
-        """A plan mixing a repeated pair with singletons pickles just the pair."""
+    def test_repeated_job_among_singletons_matches_direct(self):
         specs = two_workloads()
         compiled = compile_sweep({"L2-256KB": conventional_spec()}, specs, TINY)
         repeated = compiled.jobs[0]
         compiled.jobs = [repeated, compiled.jobs[1], repeated]
         planned = execute(compiled)
-        assert planned.stats.snapshot_builds == 1
-        assert planned.stats.snapshot_clones == 1
-        direct = execute(compiled, snapshots=False)
-        assert_identical(planned.results, direct.results)
+        assert planned.stats.simulated == 3
+        assert_identical(planned.results, direct_path(compiled, specs))
 
-    def test_cold_duplicates_pickle_nothing(self):
-        """Unprewarmed jobs have no snapshot to share, repeated or not."""
+    def test_cold_duplicates_match_direct(self):
+        specs = two_workloads()[:1]
         compiled = compile_sweep(
-            {"L2-256KB": conventional_spec()}, two_workloads()[:1], TINY, prewarm=False
+            {"L2-256KB": conventional_spec()}, specs, TINY, prewarm=False
         )
         compiled.jobs = compiled.jobs * 2
         planned = execute(compiled)
-        assert planned.stats.snapshot_builds == 0
-        assert planned.stats.snapshot_clones == 0
-        assert_identical(planned.results, execute(compiled, snapshots=False).results)
+        assert_identical(planned.results, direct_path(compiled, specs))
 
-    def test_deduplicated_duplicates_pickle_nothing(self, cache):
+    def test_deduplicated_duplicates_match_direct(self, cache):
         """With a cache, duplicates wait on their in-flight twin instead of
-        simulating, so no pair repeats among the simulated jobs."""
+        simulating."""
+        specs = two_workloads()[:1]
         compiled = compile_sweep(
             {"L2-256KB": conventional_spec(), "LN2-72KB": lnuca_l3_spec(2)},
-            two_workloads()[:1], TINY,
+            specs, TINY,
         )
         compiled.jobs = compiled.jobs * 3
         planned = execute(compiled, cache=cache)
         assert planned.stats.simulated == 2
         assert planned.stats.inflight_hits == 4
-        assert planned.stats.snapshot_builds == 0
-        assert planned.stats.snapshot_clones == 0
-        assert_identical(planned.results, execute(compiled, snapshots=False).results)
+        assert_identical(planned.results, direct_path(compiled, specs))
 
-    def test_cached_duplicates_pickle_nothing(self, cache):
-        """Only jobs left to simulate count toward a repeated pair."""
+    def test_cached_duplicates_simulate_nothing(self, cache):
         compiled = compile_sweep({"L2-256KB": conventional_spec()}, two_workloads(), TINY)
         compiled.jobs = compiled.jobs * 2
         first = execute(compiled, cache=cache)
         warm = execute(compiled, cache=cache)
         assert warm.stats.simulated == 0
-        assert warm.stats.snapshot_builds == 0
-        assert warm.stats.snapshot_clones == 0
         assert_identical(warm.results, first.results)
 
-    def test_snapshot_map_is_local_to_each_execute(self):
-        """A later execute rebuilds its own snapshot; nothing outlives a call."""
+    def test_repeated_execute_calls_are_identical(self):
+        """Nothing one execute call builds leaks into the next."""
         compiled = compile_sweep({"L2-256KB": conventional_spec()}, two_workloads()[:1], TINY)
         compiled.jobs = compiled.jobs * 3
         runs = [execute(compiled) for _ in range(2)]
-        for run in runs:
-            assert run.stats.snapshot_builds == 1
-            assert run.stats.snapshot_clones == 2
         assert_identical(runs[0].results, runs[1].results)
 
-    def test_repeated_pairs_across_workers_match_direct(self):
-        """Each worker keeps its own snapshot map; every keyed job either
-        builds or clones, and the results stay bit-identical."""
-        compiled = compile_sweep(
-            {"L2-256KB": conventional_spec(), "LN2-72KB": lnuca_l3_spec(2)},
-            two_workloads()[:1], TINY,
-        )
-        compiled.jobs = compiled.jobs * 3
-        planned = execute(compiled, workers=2)
-        assert not planned.failures
-        assert planned.stats.snapshot_builds >= 2  # one per pair at least
-        assert (
-            planned.stats.snapshot_builds + planned.stats.snapshot_clones
-            == len(compiled.jobs)
-        )
-        assert_identical(planned.results, execute(compiled, snapshots=False).results)
-
-    def test_snapshots_disabled_is_the_direct_path(self):
+    def test_run_suite_is_the_direct_path(self):
         specs = two_workloads()
         fast = run_suite(FOUR_HIERARCHIES, specs, TINY)
-        direct = run_suite(FOUR_HIERARCHIES, specs, TINY, snapshots=False)
+        direct = direct_path(compile_sweep(FOUR_HIERARCHIES, specs, TINY), specs)
         assert_identical(fast, direct)
 
     def test_adhoc_lambda_builders_still_run(self):
-        """Plain callables (no digest) execute through per-plan snapshots."""
+        """Plain callables (no digest) still execute, uncached."""
         builders = {"adhoc": build_conventional_hierarchy}
         assert BuilderSpec(key="adhoc", factory=build_conventional_hierarchy).digest() is None
         results = run_suite(builders, two_workloads()[:1], TINY)
@@ -649,7 +667,7 @@ class TestWriteFaultRecovery:
         from repro.sim.faults import FaultPlan, FaultSpec
 
         compiled = compile_sweep({"L2-256KB": conventional_spec()}, two_workloads(), TINY)
-        reference = execute(compiled, snapshots=False).results
+        reference = execute(compiled).results
         faults.install(FaultPlan(specs=[FaultSpec(site="result-cache", op=op, nth=0)]))
         execute(compiled, cache=cache)
         faults.install(FaultPlan())

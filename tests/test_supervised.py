@@ -4,8 +4,7 @@ The contract extends the plan layer's: a sweep disturbed by worker
 crashes, hangs, garbage replies, and corrupted files must still produce
 results **bit-identical** to an undisturbed sequential run — and a sweep
 interrupted outright (SIGKILL) must resume simulating only the jobs
-that never committed, via the :class:`~repro.sim.plan.SweepJournal`
-checkpoint and the result cache.
+that never committed, via their result-cache entries.
 
 Every disturbance is injected deterministically through
 :mod:`repro.sim.faults`, so these paths are exercised on every test run,
@@ -14,7 +13,6 @@ not only when production infrastructure actually fails.
 
 import multiprocessing
 import os
-import shutil
 import signal
 import warnings
 from types import SimpleNamespace
@@ -33,7 +31,6 @@ from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.plan import (
     ResultCache,
     SupervisionPolicy,
-    SweepJournal,
     compile_sweep,
     execute,
 )
@@ -291,20 +288,6 @@ class TestDegradation:
 
 
 class TestCorruptionRecovery:
-    def test_corrupt_snapshot_blob_is_rebuilt(self):
-        # Two builders with the same spec share a snapshot (same digest):
-        # the first job stores the (corrupted) blob, the second detects
-        # the corruption on load and rebuilds from scratch.
-        builders = {"A-L2": conventional_spec(), "B-L2": conventional_spec()}
-        compiled = compile_sweep(builders, two_workloads()[:1], TINY)
-        reference = reference_results(compiled)
-        faults.install(FaultPlan(specs=[
-            FaultSpec(site="snapshot-blob", op="corrupt", nth=0),
-        ]))
-        with pytest.warns(RuntimeWarning, match="discarding corrupt blob"):
-            run = execute(compiled)
-        assert_identical(run.results, reference)
-
     def test_corrupt_cache_entry_self_heals(self, cache):
         compiled = small_plan()
         reference = reference_results(compiled)
@@ -370,41 +353,70 @@ class TestCorruptionRecovery:
         assert "entries checked" in out
 
 
-class TestJournal:
-    def test_round_trip(self, cache):
-        compiled = small_plan()
-        run = execute(compiled, cache=cache)
-        journal = SweepJournal(str(os.path.join(cache.directory, "j.jsonl")))
-        journal.append("key-a", run.results[0])
-        journal.append("key-b", run.results[1])
-        journal.close()
-        rows = journal.load()
-        assert set(rows) == {"key-a", "key-b"}
-        restored = plan._result_from_row(rows["key-a"])
-        assert result_tuple(restored) == result_tuple(run.results[0])
+def _result_entries(cache):
+    return [
+        name
+        for _, _, names in os.walk(os.path.join(cache.directory, "results"))
+        for name in names
+    ]
 
-    def test_corrupt_lines_are_skipped(self, cache):
-        compiled = small_plan()
-        run = execute(compiled, cache=cache)
-        journal = SweepJournal(str(os.path.join(cache.directory, "j.jsonl")))
-        journal.append("key-a", run.results[0])
-        journal.close()
-        with open(journal.path, "a") as handle:
-            handle.write('{"schema": "bogus"}\n')
-            handle.write('{"truncated-by-sigki')
-        with pytest.warns(RuntimeWarning, match="skipped 2 corrupt"):
-            rows = journal.load()
-        assert set(rows) == {"key-a"}
 
-    def test_missing_journal_loads_empty(self, tmp_path):
-        journal = SweepJournal(str(tmp_path / "missing.jsonl"))
-        assert journal.load() == {}
+class TestSingleCheckpoint:
+    """A sweep's only on-disk checkpoint is its fsync'd cache entries;
+    beside them the cache directory holds only the trace pool."""
 
-    def test_clean_completion_deletes_journal(self, cache):
+    def test_cached_sweep_writes_only_cache_entries(self, cache):
         compiled = small_plan()
         execute(compiled, cache=cache)
+        assert sorted(os.listdir(cache.directory)) == ["results", "traces"]
+        entries = _result_entries(cache)
+        assert len(entries) == len(compiled.jobs)
+        assert all(name.endswith(".json") for name in entries)
+
+    def test_pooled_cached_sweep_writes_only_cache_entries(self, cache):
+        compiled = small_plan()
+        run = execute(compiled, cache=cache, workers=2, supervision=FAST)
+        assert not run.failures
+        assert sorted(os.listdir(cache.directory)) == ["results", "traces"]
+        entries = _result_entries(cache)
+        assert len(entries) == len(compiled.jobs)
+        assert all(name.endswith(".json") for name in entries)
+
+    def test_leftover_journal_directory_is_ignored(self, cache):
+        """A ``journals/`` directory an older version left behind is
+        neither read nor touched."""
+        compiled = small_plan()
+        reference = reference_results(compiled)
         journals = os.path.join(cache.directory, "journals")
-        assert os.listdir(journals) == []
+        os.makedirs(journals)
+        leftover = os.path.join(journals, "old-sweep.jsonl")
+        with open(leftover, "w") as handle:
+            handle.write('{"truncated-by-sigki')
+        first = execute(compiled, cache=cache)
+        assert first.stats.simulated == len(compiled.jobs)
+        assert_identical(first.results, reference)
+        rerun = execute(compiled, cache=cache)
+        assert rerun.stats.cached == len(compiled.jobs)
+        assert_identical(rerun.results, reference)
+        report = cache.verify()
+        assert report == {
+            "checked": len(compiled.jobs), "corrupt": 0, "stale_tmp": 0, "deleted": 0,
+        }
+        with open(leftover) as handle:
+            assert handle.read() == '{"truncated-by-sigki'
+
+    def test_cache_verify_cli_reports_cache_counts_only(self, cache, monkeypatch, capsys):
+        from repro import cli
+
+        compiled = small_plan()
+        execute(compiled, cache=cache)
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache.directory)
+        assert cli.main(["cache", "verify"]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(compiled.jobs)} entries checked" in out
+        assert "0 corrupt (deleted)" in out
+        assert "0 stale tmp files" in out
+        assert "journal" not in out
 
 
 def _interrupted_child(compiled, cache_dir):
@@ -417,7 +429,7 @@ def _interrupted_child(compiled, cache_dir):
 
 
 class TestInterruptResume:
-    """SIGKILL a sweep mid-flight; the journal + cache make it resumable."""
+    """SIGKILL a sweep mid-flight; its cache entries make it resumable."""
 
     def _interrupt(self, compiled, cache):
         ctx = multiprocessing.get_context("fork")
@@ -427,14 +439,15 @@ class TestInterruptResume:
         child.start()
         child.join(timeout=120)
         assert child.exitcode == -signal.SIGKILL
-        journals = os.listdir(os.path.join(cache.directory, "journals"))
-        assert len(journals) == 1
-        journal_path = os.path.join(cache.directory, "journals", journals[0])
-        lines = [
-            line for line in open(journal_path).read().splitlines() if line.strip()
+        entries = [
+            name
+            for _, _, names in os.walk(os.path.join(cache.directory, "results"))
+            for name in names
         ]
-        assert len(lines) == 3  # the fault fired after the third commit
-        return journal_path
+        assert len(entries) == 3  # the fault fired after the third commit
+        assert all(name.endswith(".json") for name in entries)
+        # The cache entry is the only checkpoint.
+        assert not os.path.exists(os.path.join(cache.directory, "journals"))
 
     def test_resume_simulates_only_incomplete_jobs(self, cache):
         compiled = four_hierarchy_plan()
@@ -446,23 +459,6 @@ class TestInterruptResume:
         assert resumed.stats.simulated == len(compiled.jobs) - 3
         assert not resumed.failures
         assert_identical(resumed.results, reference)
-        assert os.listdir(os.path.join(cache.directory, "journals")) == []
-
-    def test_resume_from_journal_when_cache_is_gone(self, cache):
-        """The fsync'd journal alone restores committed results."""
-        compiled = four_hierarchy_plan()
-        reference = reference_results(compiled)
-        self._interrupt(compiled, cache)
-        shutil.rmtree(os.path.join(cache.directory, "results"))  # e.g. pruned
-        resumed = execute(compiled, cache=cache)
-        assert resumed.stats.resumed_from_journal == 3
-        assert resumed.stats.cached == 0
-        assert resumed.stats.simulated == len(compiled.jobs) - 3
-        assert_identical(resumed.results, reference)
-        # The restore also repaired the cache entries.
-        rerun = execute(compiled, cache=cache)
-        assert rerun.stats.cached == len(compiled.jobs)
-        assert os.listdir(os.path.join(cache.directory, "journals")) == []
 
 
 class TestStreamingAndStats:
@@ -495,8 +491,7 @@ class TestStreamingAndStats:
         compiled = small_plan()
         run = execute(compiled)
         text = run.stats.describe()
-        for token in ("workers_effective=", "retries=", "timeouts=",
-                      "quarantined=", "resumed_from_journal="):
+        for token in ("workers_effective=", "retries=", "timeouts=", "quarantined="):
             assert token in text
         assert not run.stats.degraded()
 

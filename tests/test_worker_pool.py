@@ -188,14 +188,30 @@ class TestPersistentPool:
         assert "retries=0 " in text
         assert "pool_reused=0 " in text
         assert text.endswith("job_s=0.000")
+        assert "snapshot_clones=" not in text
+        assert "resumed_from_journal=" not in text
 
     def test_add_sums_pool_counters(self):
         total = ExecutionStats()
-        part = ExecutionStats(pool_reused=2, snapshot_clones=3)
+        part = ExecutionStats(pool_reused=2, pool_loads=3, job_s=0.25)
         total.add(part)
         total.add(part)
         assert total.pool_reused == 4
-        assert total.snapshot_clones == 6
+        assert total.pool_loads == 6
+        assert total.job_s == 0.5
+
+    @pytest.mark.parametrize("counter", ["retries", "timeouts", "quarantined"])
+    def test_degraded_counts_supervision_events(self, counter):
+        assert not ExecutionStats().degraded()
+        assert ExecutionStats(**{counter: 1}).degraded()
+
+    def test_hits_and_pool_counters_are_not_degraded(self):
+        stats = ExecutionStats(
+            jobs=6, simulated=1, cached=2, store_hits=1, inflight_hits=2,
+            pool_loads=1, pool_saves=1, pool_reused=3, workers_effective=2,
+            job_s=1.5,
+        )
+        assert not stats.degraded()
 
     def test_healthz_reports_worker_pool(self):
         from repro.service.manager import SweepManager
