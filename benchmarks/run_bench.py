@@ -26,7 +26,7 @@ stage set:
   (array fill/lookup, a full L-NUCA miss search, trace generation, the
   scenario engine's vectorized-vs-scalar-vs-legacy synthesis, binary
   trace capture/replay, the repeated-sweep micro comparing the plan
-  layer's pool+memo and warm-cache paths against the direct path,
+  layer's trace-memo and warm-cache paths against the direct path,
   the store-vs-cache micro holding the SQLite result store's warm
   hit path and raw query throughput against the cache tier, and the
   parallel-sweep micro A/B-ing the persistent worker pool against the
@@ -213,10 +213,9 @@ def micro_sweep_cached(repeat, instructions=2000):
     (system, workload) sweep executed repeatedly in one process.  Three
     paths over the identical plan, all bit-identical by construction:
 
-    * ``direct`` — fresh build, per-job prewarm, per-job synthesis (the
-      historical per-sweep cost, the PR 3 baseline behaviour);
-    * ``plan`` — trace-pool replay and the in-process trace memo (warm
-      pool, result cache off);
+    * ``direct`` — fresh build, per-job prewarm, per-sweep synthesis (the
+      trace memo is cleared first);
+    * ``plan`` — the in-process trace memo (warm, result cache off);
     * ``cached`` — warm content-addressed result cache: zero simulation.
 
     Besides the full-sweep walls, the stage isolates the *setup* phase the
@@ -238,15 +237,18 @@ def micro_sweep_cached(repeat, instructions=2000):
     os.environ["REPRO_SIM_VERSION"] = "bench-local"
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            pool = plan_module.TracePool(os.path.join(tmp, "pool"))
             cache = plan_module.ResultCache(os.path.join(tmp, "cache"))
 
-            direct = lambda: plan_module.execute(compiled(), trace_memo=False).results  # noqa: E731
-            fast = lambda: plan_module.execute(compiled(), pool=pool).results  # noqa: E731
-            cached = lambda: plan_module.execute(compiled(), pool=pool, cache=cache).results  # noqa: E731
+            def direct():
+                # Synthesizes every trace afresh; the memo it leaves behind
+                # is what the next ``plan`` leg replays.
+                plan_module._TRACE_MEMO.clear()
+                return plan_module.execute(compiled()).results
+
+            fast = lambda: plan_module.execute(compiled()).results  # noqa: E731
+            cached = lambda: plan_module.execute(compiled(), cache=cache).results  # noqa: E731
 
             baseline = direct()
-            fast()  # warm the pool and the trace memo once
             # The two paths differ by ~10% while this box's wall clock
             # drifts by a comparable amount over seconds; interleaving the
             # best-of rounds (A/B per round instead of all-A then all-B)
@@ -273,12 +275,7 @@ def micro_sweep_cached(repeat, instructions=2000):
 
             def plan_setup():
                 for job in compiled_plan.jobs:
-                    source = compiled_plan.traces[job.trace]
-                    memo_key = plan_module._memo_key(source)
-                    trace = plan_module._TRACE_MEMO.get(memo_key)
-                    if trace is None:
-                        trace = source.build()
-                        plan_module._TRACE_MEMO[memo_key] = trace
+                    trace = plan_module.materialize(compiled_plan.traces[job.trace])
                     system = builders[job.system].factory()
                     system.prewarm(trace.resident_addresses())
 
@@ -295,7 +292,7 @@ def micro_sweep_cached(repeat, instructions=2000):
                     wall if plan_setup_wall is None else min(plan_setup_wall, wall)
                 )
         if not _results_identical(baseline, plan_results):
-            raise AssertionError("pool+memo sweep diverged from direct — plan bug")
+            raise AssertionError("memo sweep diverged from direct — plan bug")
         if not _results_identical(baseline, cached_results):
             raise AssertionError("cached sweep diverged from direct — plan bug")
     finally:
@@ -346,19 +343,16 @@ def micro_store_query(repeat, instructions=2000):
     os.environ["REPRO_SIM_VERSION"] = "bench-local"
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            pool = plan_module.TracePool(os.path.join(tmp, "pool"))
             cache = plan_module.ResultCache(os.path.join(tmp, "cache"))
             store = ResultStore(os.path.join(tmp, "results.sqlite"))
 
             # Cold run populates both tiers at once (every landed result is
             # fed to the store, cache hits included).
-            baseline = plan_module.execute(
-                compiled(), pool=pool, cache=cache, store=store
-            ).results
+            baseline = plan_module.execute(compiled(), cache=cache, store=store).results
             runs = len(baseline)
 
-            store_run = lambda: plan_module.execute(compiled(), pool=pool, store=store)  # noqa: E731
-            cache_run = lambda: plan_module.execute(compiled(), pool=pool, cache=cache)  # noqa: E731
+            store_run = lambda: plan_module.execute(compiled(), store=store)  # noqa: E731
+            cache_run = lambda: plan_module.execute(compiled(), cache=cache)  # noqa: E731
 
             store_wall = cache_wall = None
             store_results = cache_results = None
@@ -412,8 +406,8 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
     """Shared-state parallel execution vs the fork-per-sweep path, A/B.
 
     The persistent-pool leg (A) runs ``--workers N`` sweeps on pooled
-    workers that keep their decoded traces warm across sweeps and share
-    pooled traces through ``mmap``; the fork-per-sweep leg (B) disables
+    workers that keep their synthesized traces warm across sweeps (each
+    worker's trace memo); the fork-per-sweep leg (B) disables
     reuse (``REPRO_NO_POOL=1``), reproducing the historical per-sweep
     behaviour: every sweep forks fresh workers.  Rounds are interleaved
     (A/B per round) to cancel wall-clock drift, the result cache is
@@ -451,7 +445,7 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
 
             def fresh_round():
                 # Each timed run must simulate: drop the result tier but
-                # keep the pooled traces (the state under test).
+                # keep the warm workers (the state under test).
                 shutil.rmtree(results_dir, ignore_errors=True)
 
             baseline = plan_module.execute(compiled(builders)).results
@@ -470,7 +464,7 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
                 finally:
                     os.environ.pop("REPRO_NO_POOL", None)
 
-            # Warm the trace pool and the worker pool once.
+            # Warm the worker pool (and its workers' trace memos) once.
             fresh_round()
             pooled()
 
@@ -667,7 +661,7 @@ def check_against_baseline(stages, baseline_path, max_slowdown):
             f"fig4 event sweep regressed {ratio:.2f}x vs {baseline_path} "
             f"(limit {max_slowdown:.2f}x)"
         )
-    # Repeated-sweep micro: the pool+memo path's throughput is held
+    # Repeated-sweep micro: the trace-memo path's throughput is held
     # against the committed baseline the same way (absent in BENCH files
     # older than the plan layer).
     cached_base = committed.get("micro_sweep_cached")
@@ -768,7 +762,7 @@ def main(argv=None):
     stages["micro_scenario_gen"] = micro_scenario_gen(args.repeat)
     print("micro: binary trace save/load ...", flush=True)
     stages["micro_trace_file"] = micro_trace_file(args.repeat)
-    print("micro: repeated sweep (direct vs pool+memo vs cached) ...", flush=True)
+    print("micro: repeated sweep (direct vs memo vs cached) ...", flush=True)
     stages["micro_sweep_cached"] = micro_sweep_cached(args.repeat, args.instructions)
     print("micro: result store vs result cache (warm hits, raw queries) ...", flush=True)
     stages["micro_store_query"] = micro_store_query(args.repeat, args.instructions)
@@ -808,7 +802,7 @@ def main(argv=None):
     cached = stages["micro_sweep_cached"]
     print(
         f"repeated sweep: direct {cached['direct_wall_s']:.2f}s, "
-        f"pool+memo {cached['plan_wall_s']:.2f}s "
+        f"memo {cached['plan_wall_s']:.2f}s "
         f"({cached['plan_speedup_vs_direct']:.2f}x full sweep, "
         f"{cached['setup_speedup_vs_direct']:.2f}x setup phase), "
         f"warm cache {cached['cached_wall_s']:.3f}s "

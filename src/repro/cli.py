@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument(
         "--traces-dir",
         default=None,
-        help="binary trace cache: replay existing .lntr files, capture missing ones",
+        help="capture each swept trace as a .lntr file here (missing or stale "
+        "captures are rewritten); the sweep itself does not read them",
     )
     scen_run.add_argument("--csv", default=None, help="also write the IPC table as CSV")
 
@@ -342,12 +343,51 @@ def _capture_meta(spec) -> dict:
     """Provenance recorded in a captured trace's header.
 
     Delegates to the plan layer's canonical scenario signature (the same
-    identity that keys the trace pool), so ``scenarios generate`` captures
-    and pool entries are interchangeable.
+    identity that keys a catalog job's trace), so a capture names exactly
+    the trace a sweep of ``spec`` simulates, and ``scenarios run
+    --traces-dir`` detects a capture of another definition as stale.
     """
     from repro.sim.plan import scenario_signature
 
     return scenario_signature(spec)
+
+
+def _write_capture(spec, num_instructions: int, path: str):
+    """Synthesize ``spec``'s trace and publish it at ``path`` atomically.
+
+    Concurrent writers of one capture never share a temp file, and a
+    reader never sees a half-written one.  Returns the trace.
+    """
+    from repro.scenarios import build_trace, save_trace
+    from repro.sim.plan import _atomic_write
+
+    trace = build_trace(spec, num_instructions)
+    _atomic_write(
+        path, lambda tmp: save_trace(trace, tmp, extra_meta=_capture_meta(spec))
+    )
+    return trace
+
+
+def _ensure_capture(spec, num_instructions: int, directory: str) -> None:
+    """Capture ``spec``'s trace under ``directory`` unless a current
+    capture is already there; stale and unreadable ones are reported and
+    rewritten, never kept."""
+    from repro.scenarios import TraceFormatError, load_trace, read_meta
+
+    path = _trace_path(directory, spec.name, num_instructions)
+    try:
+        meta = read_meta(path)
+        load_trace(path)  # every record present: a truncated capture fails here
+    except FileNotFoundError:
+        pass
+    except (OSError, TraceFormatError) as exc:
+        print(f"  {path}: unreadable capture ({exc}), regenerating")
+    else:
+        expected = dict(_capture_meta(spec), instructions=num_instructions)
+        if all(meta.get(key) == value for key, value in expected.items()):
+            return
+        print(f"  {path}: stale capture (scenario changed), regenerating")
+    _write_capture(spec, num_instructions, path)
 
 
 def _scenarios_generate(
@@ -357,8 +397,6 @@ def _scenarios_generate(
     num_instructions: int,
     backend: str,
 ) -> None:
-    from repro.scenarios import build_trace, save_trace
-
     vectorized = {"auto": None, "vectorized": True, "scalar": False}[backend]
     os.makedirs(out, exist_ok=True)
     for spec in _select_scenarios(names, tag):
@@ -366,10 +404,9 @@ def _scenarios_generate(
         # is per-instruction by definition and simply ignores it.
         if vectorized is not None:
             spec = spec.with_params(vectorized=vectorized)
-        trace = build_trace(spec, num_instructions)
         path = _trace_path(out, spec.name, num_instructions)
-        size = save_trace(trace, path, extra_meta=_capture_meta(spec))
-        print(f"  {path}: {len(trace)} instructions, {size} bytes")
+        trace = _write_capture(spec, num_instructions, path)
+        print(f"  {path}: {len(trace)} instructions, {os.path.getsize(path)} bytes")
 
 
 def _scenarios_run(
@@ -382,20 +419,19 @@ def _scenarios_run(
     cache=None,
     supervision=None,
 ) -> None:
-    from repro.sim.plan import TracePool
-
     specs = _select_scenarios(names, tag)
-    # With --traces-dir the sweep replays from (and captures into) a
-    # user-visible file-backed pool; stale or unreadable captures are
-    # reported and regenerated by the pool itself.
-    pool = TracePool(traces_dir, on_event=lambda msg: print(f"  {msg}")) if traces_dir else None
+    if traces_dir:
+        # Capture only: the sweep synthesizes each trace from its catalog
+        # signature where the job runs, whatever the directory holds.
+        os.makedirs(traces_dir, exist_ok=True)
+        for spec in specs:
+            _ensure_capture(spec, num_instructions, traces_dir)
     report = fig6_scenarios.run(
         num_instructions=num_instructions,
         specs=specs,
         workers=workers,
         cache=cache,
         supervision=supervision,
-        pool=pool,
     )
     print("Scenario sweep — IPC across the four hierarchy types")
     for line in fig6_scenarios.format_rows(report):

@@ -45,7 +45,6 @@ def run(
     results: Optional[List[RunResult]] = None,
     cache=None,
     supervision=None,
-    pool=None,
 ) -> Dict[str, object]:
     """Sweep the scenarios over the four hierarchies.
 
@@ -56,9 +55,9 @@ def run(
     * ``"results"`` — the raw per-run :class:`RunResult` list.
 
     ``traces`` may carry pre-loaded (captured/replayed) traces keyed by
-    scenario name; ``pool`` is a file-backed
-    :class:`~repro.sim.plan.TracePool` that captures and replays everything
-    else; ``cache`` memoizes finished runs on disk.
+    scenario name; every other trace is synthesized from its catalog
+    signature where its job runs.  ``cache`` memoizes finished runs on
+    disk.
     """
     builders = scenario_builders()
     specs = list(specs) if specs is not None else default_sweep()
@@ -72,7 +71,6 @@ def run(
             traces=traces,
             cache=cache,
             supervision=supervision,
-            pool=pool,
         )
     ipc: Dict[str, Dict[str, float]] = {}
     for result in results:
@@ -116,7 +114,6 @@ def main(
     traces: Optional[Dict[str, object]] = None,
     cache=None,
     supervision=None,
-    pool=None,
 ) -> None:
     """Print the scenario sweep table."""
     report = run(
@@ -126,7 +123,6 @@ def main(
         traces=traces,
         cache=cache,
         supervision=supervision,
-        pool=pool,
     )
     print("Figure 6 — scenario sweep IPC across the four hierarchy types")
     for line in format_rows(report):

@@ -32,6 +32,7 @@ from repro.cpu.trace import Trace
 from repro.cpu.workloads import _HOT_BASE, WorkloadSpec, full_suite, generate_trace
 from repro.scenarios.registry import (
     build_trace,
+    families,
     merge_params,
     model_family,
     register_family,
@@ -537,6 +538,11 @@ def _register_catalog() -> None:
 
 
 _register_catalog()
+
+#: The families this module registers.  Their generators ship with the
+#: package, so the git commit in every result-cache key pins their code;
+#: a family registered later, outside the package, is not pinned.
+CATALOG_FAMILIES = frozenset(fam.name for fam in families())
 
 
 def default_sweep() -> List[ScenarioSpec]:

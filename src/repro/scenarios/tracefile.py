@@ -1,9 +1,9 @@
 """Compact binary trace capture / replay.
 
-Large sweeps generate each trace once, save it, and replay it across every
-configuration (and every future run) — so the expensive synthesis is paid
-once per (scenario, length, seed) and the replayed stream is guaranteed
-bit-identical, even across machines and numpy versions.
+``scenarios generate`` and ``scenarios run --traces-dir`` save traces in
+this format, and :func:`load_trace` replays one (e.g. through
+``run_suite(traces=...)``) bit-identically, even across machines and
+numpy versions.
 
 Format (little-endian)::
 
@@ -24,7 +24,6 @@ produces byte-identical files.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
 from typing import Dict, List, Optional, Tuple
@@ -53,13 +52,8 @@ def records_bytes(trace: Trace) -> bytes:
     This is the canonical byte serialization of the instruction stream
     (exactly what :func:`save_trace` writes after the header), so it doubles
     as the input for content digests: two traces are bit-identical iff their
-    record bytes are equal.  For a :class:`MappedTrace` the raw mapped bytes
-    *are* that serialization, so they are returned directly — digesting a
-    mapped trace never decodes it.
+    record bytes are equal.
     """
-    raw = getattr(trace, "_records", None)
-    if raw is not None:
-        return bytes(raw)
     pack = _RECORD.pack
     body = bytearray()
     for instruction in trace.instructions:
@@ -127,21 +121,6 @@ def decode_records(payload, source: str = "<records>") -> List[Instruction]:
         raise TraceFormatError(f"{source}: unknown instruction class {exc}") from None
 
 
-def trace_from_records(name: str, category: str, payload: bytes) -> Trace:
-    """Rebuild a trace from its name, category, and packed record bytes.
-
-    This is how the worker pool ships unpooled traces: the parent sends
-    ``records_bytes(trace)`` (small, canonical, version-free) and the worker
-    reconstructs a bit-identical trace on its side.
-    """
-    if len(payload) % RECORD_BYTES:
-        raise TraceFormatError(
-            f"trace {name!r}: record payload of {len(payload)} bytes is not a "
-            f"multiple of {RECORD_BYTES}"
-        )
-    return Trace(name=name, category=category, instructions=decode_records(payload, name))
-
-
 def load_trace(path: str) -> Trace:
     """Load a trace saved by :func:`save_trace` (round-trip identical)."""
     with open(path, "rb") as handle:
@@ -156,80 +135,6 @@ def load_trace(path: str) -> Trace:
         name=str(meta.get("name", os.path.basename(path))),
         category=str(meta.get("category", "unknown")),
         instructions=decode_records(payload, path),
-    )
-
-
-class MappedTrace(Trace):
-    """A trace whose record bytes stay in an ``mmap`` of the ``.lntr`` file.
-
-    The instruction list is decoded lazily, per process, on first use; until
-    then the trace weighs one page table, and N worker processes mapping the
-    same pool file share the page cache instead of each holding a pickled
-    copy.  Everything observable — length, digest, decoded instructions,
-    simulation results — is bit-identical to :func:`load_trace` by
-    construction: both decode the same canonical record bytes with
-    :func:`decode_records`.
-
-    The class bypasses the :class:`Trace` dataclass ``__init__`` because
-    ``instructions`` is a property here; the cached-derived-state fields
-    (decode, resident set, digest) are initialised the same way.
-    """
-
-    def __init__(self, name: str, category: str, records, count: int, mapping=None):
-        self.name = name
-        self.category = category
-        self._records = records  #: memoryview over the mapped record section
-        self._count = count
-        self._mapping = mapping  #: keeps the mmap object alive
-        self._instructions = None
-        self._resident_cache = None
-        self._decoded_cache = None
-        self._digest_cache = None
-
-    @property
-    def instructions(self) -> List[Instruction]:
-        decoded = self._instructions
-        if decoded is None:
-            decoded = decode_records(self._records, self.name)
-            self._instructions = decoded
-        return decoded
-
-    def __len__(self) -> int:
-        return self._count
-
-
-def map_trace(path: str) -> Trace:
-    """Load a trace through ``mmap`` (falls back to :func:`load_trace`).
-
-    The fallback covers ``REPRO_NO_MMAP=1`` (the kill switch), filesystems
-    that refuse to map, and empty mappings; either way the returned trace is
-    bit-identical.  Format errors (bad magic, truncation) raise exactly as
-    :func:`load_trace` would.
-    """
-    if os.environ.get("REPRO_NO_MMAP"):
-        return load_trace(path)
-    with open(path, "rb") as handle:
-        meta, count = _read_header(handle, path)
-        offset = handle.tell()
-        try:
-            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):
-            return load_trace(path)
-    expected = count * RECORD_BYTES
-    found = len(mapping) - offset
-    if found != expected:
-        mapping.close()
-        raise TraceFormatError(
-            f"{path}: expected {count} records ({expected} bytes), "
-            f"found {found} bytes"
-        )
-    records = memoryview(mapping)[offset:offset + expected]
-    return MappedTrace(
-        name=str(meta.get("name", os.path.basename(path))),
-        category=str(meta.get("category", "unknown")),
-        records=records,
-        count=count,
-        mapping=mapping,
     )
 
 

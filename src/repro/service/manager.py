@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import ConfigurationError
 from repro.cpu.workloads import workload_by_name
 from repro.experiments.common import conventional_builders, dnuca_builders
-from repro.scenarios.registry import build_trace, scenario, scenarios
+from repro.scenarios.registry import scenario, scenarios
 from repro.sim.configs import BuilderSpec
 from repro.sim.plan import (
     ExecutionStats,
@@ -151,30 +151,13 @@ def request_digest(canonical: Dict[str, object]) -> str:
 
 
 def compile_request(canonical: Dict[str, object]) -> RunPlan:
+    """Compile a canonical request.  Scenario and legacy-workload specs take
+    their catalog trace sources, so their jobs share cache entries, store
+    rows and in-flight claims with the CLI experiments."""
     registry = system_registry()
     builders = {name: registry[name] for name in canonical["systems"]}
     specs = [_resolve_spec(name) for name in canonical["scenarios"]]
-    return compile_sweep(
-        builders,
-        specs,
-        canonical["instructions"],
-        trace_factory=_service_trace_factory,
-    )
-
-
-def _service_trace_factory(spec, num_instructions: int):
-    """Scenario specs go through the catalog generator, legacy specs inline.
-
-    ``compile_sweep`` only consults the factory for non-poolable spec
-    types; catalog scenarios and legacy workloads both take their
-    signature-carrying fast paths, so pooled captures are shared with the
-    CLI experiments.
-    """
-    from repro.cpu.workloads import WorkloadSpec, generate_trace
-
-    if isinstance(spec, WorkloadSpec):
-        return generate_trace(spec, num_instructions)
-    return build_trace(spec, num_instructions)
+    return compile_sweep(builders, specs, canonical["instructions"])
 
 
 class Sweep:

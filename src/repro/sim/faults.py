@@ -47,7 +47,7 @@ Sites and their ops
     Matched by ``nth`` (per-process release counter).  Op ``kill``
     discards the worker instead of pooling it, exercising the
     recycle-and-respawn path without a real crash.
-``result-cache`` / ``trace-pool`` / ``store``
+``result-cache`` / ``store``
     Fire after the respective file has been written (``store`` is the
     SQLite result store, fired after each row insert commits).  Matched
     by ``nth`` (per-site write counter) and ``path`` (substring).  Ops

@@ -9,18 +9,23 @@ loops with a compile/execute split:
   list of hashable :class:`JobSpec`\\ s over a registry of digestable
   builders (:class:`~repro.sim.configs.BuilderSpec`) and
   :class:`TraceSource`\\ s;
-* one **executor** (:func:`execute`) runs the plan, with two fast paths
-  that are guaranteed bit-identical to the direct path (fresh build,
-  per-job prewarm, per-job synthesis):
+* one **executor** (:func:`execute`) runs the plan.  Its fast path, the
+  **result cache**, is guaranteed bit-identical to the direct path
+  (fresh build, per-job prewarm, per-job synthesis): finished
+  :class:`~repro.sim.runner.RunResult`\\ s are memoized on disk
+  (:class:`ResultCache`) keyed by (builder digest, trace key, simulator
+  version, run parameters), so a warm re-run performs zero simulation
+  and builds no trace.
 
-  1. **trace pool** — each trace is materialized exactly once into a
-     file-backed ``.lntr`` pool (:class:`TracePool`) and replayed from
-     there, instead of being re-synthesized per sweep;
-  2. **result cache** — finished :class:`~repro.sim.runner.RunResult`\\ s
-     are memoized in a content-addressed on-disk cache
-     (:class:`ResultCache`) keyed by (builder digest, trace digest,
-     simulator version, run parameters), so a warm re-run performs zero
-     simulation.
+A catalog trace (one whose :class:`TraceSource` has a ``signature``) is a
+pure function of its signature and instruction count, and the simulator
+version — the git commit — is in every key, so its **trace key** is the
+digest of that signature (:func:`trace_key`).  Only opaque sources are
+keyed by their content (:func:`trace_digest`).  Catalog sources pickle,
+so a pool worker receives the source itself and synthesizes its own
+trace; the parent builds a trace only for an opaque key or a job it runs
+in-process.  Each process shares synthesized traces through an
+in-memory memo (:func:`materialize`).
 
 Every job builds and prewarms its own hierarchy: no paper sweep repeats
 a (builder, trace) pair, so there is nothing to clone.
@@ -63,9 +68,9 @@ Safety rules
 * A truncated or corrupt cache entry is discarded with a
   :class:`RuntimeWarning` and re-simulated, never trusted and never fatal
   (``ResultCache.verify`` — ``repro cache verify`` — scans for them).
-* Builders without a digestable parameter description (ad-hoc lambdas) and
-  traces without a generation signature still execute — they just skip the
-  result cache / pool.
+* Builders without a digestable parameter description (ad-hoc lambdas)
+  still execute — they just skip the result cache.  Jobs whose builder or
+  trace source will not pickle run in-process.
 * ``REPRO_CACHE_DIR`` overrides the on-disk cache location;
   ``REPRO_SIM_VERSION`` pins the simulator version (used by tests and CI).
 
@@ -90,7 +95,7 @@ import warnings
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim import faults
@@ -102,21 +107,17 @@ from repro.common.errors import ConfigurationError, ExecutionError, SimulationEr
 from repro.cpu.core import CoreConfig, OoOCore
 from repro.cpu.trace import Trace
 from repro.cpu.workloads import WorkloadSpec, generate_trace
+from repro.scenarios.families import CATALOG_FAMILIES
+from repro.scenarios.registry import build_trace
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.tracefile import (
-    TraceFormatError,
-    map_trace,
-    read_meta,
-    records_bytes,
-    save_trace,
-    trace_from_records,
-)
+from repro.scenarios.tracefile import records_bytes
 from repro.sim.configs import BuilderSpec, _canonical
 from repro.sim.runner import RunResult, simulate
 
 #: Bump when the cache entry layout or the digest scheme changes; old
-#: entries then simply miss instead of being misread.
-RESULT_SCHEMA = 1
+#: entries then simply miss instead of being misread.  Schema 2 keys
+#: catalog traces by their signature digest instead of their content.
+RESULT_SCHEMA = 2
 
 
 # --------------------------------------------------------------------- version
@@ -165,11 +166,14 @@ class TraceSource:
 
     ``signature`` is the canonical generation description (family, seed,
     params — everything that determines the instruction stream except the
-    backend, which is bit-identical by design).  It keys the file-backed
-    pool and is stored in captured headers so stale captures are detected.
-    ``None`` means the source cannot be pooled (inline traces, opaque
-    factories); it still executes and is still result-cacheable through its
-    content digest.
+    backend, which is bit-identical by design).  With the instruction count
+    it identifies the trace: it keys the job (:func:`trace_key`) and the
+    in-process memo, and ``scenarios run --traces-dir`` stores it in capture
+    headers so stale captures are detected.  Catalog sources build through
+    a :func:`functools.partial` of a module-level generator, so they pickle
+    and a pool worker synthesizes its own copy.  ``None`` means an opaque
+    source (inline traces, custom factories): it still executes, in this
+    process, and is still result-cacheable through its content digest.
     """
 
     name: str
@@ -177,10 +181,6 @@ class TraceSource:
     num_instructions: int
     builder: Callable[[], Trace]
     signature: Optional[Dict[str, object]] = None
-    #: Source kind ("scenario" / "workload" / "opaque"); disambiguates pool
-    #: file names when a legacy workload and a catalog scenario share a name
-    #: (the spec2006 port reuses the legacy names by design).
-    kind: str = "opaque"
 
     def build(self) -> Trace:
         return self.builder()
@@ -202,11 +202,10 @@ def scenario_signature(spec: ScenarioSpec) -> Dict[str, object]:
 
 
 #: Process-global in-memory trace memo: generation-signature key -> Trace.
-#: The tier above the file-backed pool — repeated sweeps in one process
-#: (report, benchmarks, services) share the synthesized trace objects (and
-#: with them the cached decode / resident-set / digest), instead of
-#: re-synthesizing or re-reading the pool file per sweep.  Sound because
-#: traces are immutable once generated; bounded FIFO.
+#: Repeated sweeps in one process (report, benchmarks, services, a
+#: persistent pool worker) share the synthesized trace objects (and with
+#: them the cached decode / resident set) instead of re-synthesizing per
+#: sweep.  Sound because traces are immutable once generated; bounded FIFO.
 _TRACE_MEMO: "OrderedDict[str, Trace]" = OrderedDict()
 _TRACE_MEMO_CAP = 32
 
@@ -221,6 +220,25 @@ def _memo_key(source: "TraceSource") -> Optional[str]:
     )
 
 
+def materialize(source: TraceSource) -> Trace:
+    """``source``'s trace, shared through :data:`_TRACE_MEMO` when the
+    source has a signature.
+
+    The one way a job gets its trace, in this process and on a pool worker
+    alike (a worker keeps its memo across jobs and sweeps).
+    """
+    memo_key = _memo_key(source)
+    if memo_key is None:
+        return source.build()
+    trace = _TRACE_MEMO.get(memo_key)
+    if trace is None:
+        trace = source.build()
+        _TRACE_MEMO[memo_key] = trace
+        while len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
+            _TRACE_MEMO.popitem(last=False)
+    return trace
+
+
 def trace_source_for(
     spec,
     num_instructions: int,
@@ -232,7 +250,7 @@ def trace_source_for(
     ``spec`` may be a legacy :class:`~repro.cpu.workloads.WorkloadSpec`, a
     :class:`~repro.scenarios.spec.ScenarioSpec`, or any object with
     ``name``/``category`` that ``trace_factory`` understands (opaque: no
-    pool signature).  ``pregenerated`` short-circuits generation entirely
+    signature).  ``pregenerated`` short-circuits generation entirely
     (e.g. traces replayed by the caller).
     """
     name, category = spec.name, spec.category
@@ -241,29 +259,27 @@ def trace_source_for(
             name, category, num_instructions, builder=lambda: pregenerated
         )
     if isinstance(spec, ScenarioSpec):
-        from repro.scenarios.registry import build_trace
-
-        # A custom factory may synthesize anything; only the registry's
-        # generator is known to honour the catalog signature, so anything
-        # else stays opaque (no pool entry, no memo) rather than risking
-        # serving custom content under the catalog identity.
-        if trace_factory in (None, build_trace):
+        # A custom factory may synthesize anything, and a family registered
+        # outside the package is not pinned by the commit in the cache key
+        # (nor known to pool workers forked before it): only the registry's
+        # generator over a catalog family honours the signature.  Anything
+        # else stays opaque rather than risk serving custom content under
+        # the catalog identity.
+        if trace_factory in (None, build_trace) and spec.family in CATALOG_FAMILIES:
             return TraceSource(
                 name,
                 category,
                 num_instructions,
-                builder=lambda: build_trace(spec, num_instructions),
+                builder=partial(build_trace, spec, num_instructions),
                 signature=scenario_signature(spec),
-                kind="scenario",
             )
     elif isinstance(spec, WorkloadSpec) and trace_factory in (None, generate_trace):
         return TraceSource(
             name,
             category,
             num_instructions,
-            builder=lambda: generate_trace(spec, num_instructions),
+            builder=partial(generate_trace, spec, num_instructions),
             signature={"workload": _canonical(spec)},
-            kind="workload",
         )
     factory = trace_factory or generate_trace
     return TraceSource(
@@ -281,8 +297,6 @@ def trace_digest(trace: Trace) -> str:
     if cached is not None:
         return cached
     digest = hashlib.sha256()
-    # len(trace), not len(trace.instructions): identical by contract, but a
-    # mapped trace answers the former from its header without decoding.
     digest.update(
         f"trace/{trace.name}\x00{trace.category}\x00{len(trace)}\x00".encode()
     )
@@ -290,6 +304,19 @@ def trace_digest(trace: Trace) -> str:
     value = digest.hexdigest()
     trace._digest_cache = value
     return value
+
+
+def trace_key(source: TraceSource, trace: Callable[[], Trace]) -> str:
+    """The trace's part of a job's cache key.
+
+    A source with a signature is keyed by the SHA-256 of its canonical
+    signature key, without building the trace; an opaque source by the
+    content digest of ``trace()``.
+    """
+    memo_key = _memo_key(source)
+    if memo_key is None:
+        return trace_digest(trace())
+    return hashlib.sha256(memo_key.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------- atomic writes
@@ -319,111 +346,6 @@ def _atomic_write(path: str, write: Callable[[str], None]) -> None:
         except OSError:
             pass
         raise
-
-
-# ------------------------------------------------------------------ trace pool
-class TracePool:
-    """File-backed ``.lntr`` pool: each trace is synthesized exactly once.
-
-    Pool entries are ordinary capture files (``{name}-{n}.lntr`` with the
-    source's generation signature in the header), so they interoperate with
-    ``scenarios generate`` captures.  A file whose header no longer matches
-    the current signature — the scenario definition changed — is
-    regenerated, as is an unreadable/truncated file; neither is ever
-    silently replayed.
-    """
-
-    def __init__(self, directory: str, on_event: Optional[Callable[[str], None]] = None):
-        self.directory = directory
-        self._on_event = on_event
-
-    def _note(self, message: str) -> None:
-        if self._on_event is not None:
-            self._on_event(message)
-
-    def path_for(self, source: TraceSource) -> str:
-        # Scenario entries keep the capture-file name scheme so they
-        # interoperate with `scenarios generate`; legacy-workload entries
-        # carry a `.wl` marker, because the spec2006 scenario port reuses
-        # the legacy workload names and the two signatures must not fight
-        # over one file.
-        marker = ".wl" if source.kind == "workload" else ""
-        return os.path.join(
-            self.directory, f"{source.name}-{source.num_instructions}{marker}.lntr"
-        )
-
-    def _entry_current(self, path: str, source: TraceSource) -> bool:
-        """True when a capture at ``path`` matches the source's signature."""
-        try:
-            meta = read_meta(path)
-        except (OSError, TraceFormatError) as exc:
-            self._note(f"{path}: unreadable capture ({exc}), regenerating")
-            return False
-        if (
-            all(meta.get(key) == value for key, value in source.signature.items())
-            and meta.get("instructions") == source.num_instructions
-        ):
-            return True
-        self._note(f"{path}: stale capture (scenario changed), regenerating")
-        return False
-
-    def _save(self, path: str, source: TraceSource, trace: Trace,
-              stats: Optional["ExecutionStats"]) -> None:
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            _atomic_write(
-                path, lambda tmp: save_trace(trace, tmp, extra_meta=source.signature)
-            )
-            faults.on_write("trace-pool", path)
-            if stats is not None:
-                stats.pool_saves += 1
-        except OSError as exc:
-            # An unwritable pool degrades to per-run synthesis, not a crash.
-            warnings.warn(
-                f"trace pool: could not save {path} ({exc})", RuntimeWarning, stacklevel=2
-            )
-
-    def fetch(self, source: TraceSource, stats: Optional["ExecutionStats"] = None) -> Trace:
-        """Return the source's trace, replaying from the pool when possible.
-
-        Pool replays are mmap-backed (:func:`~repro.scenarios.tracefile
-        .map_trace`): the record bytes stay in the page cache — shared with
-        every worker process mapping the same file — and decode lazily per
-        process.  Bit-identical to an eager load by construction;
-        ``REPRO_NO_MMAP=1`` forces the eager path.
-        """
-        if source.signature is None:
-            return source.build()
-        path = self.path_for(source)
-        if os.path.exists(path) and self._entry_current(path, source):
-            try:
-                trace = map_trace(path)
-            except (OSError, TraceFormatError) as exc:
-                # A current header over damaged records (a truncated
-                # write): regenerate, never replay.
-                self._note(f"{path}: unreadable capture ({exc}), regenerating")
-            else:
-                if stats is not None:
-                    stats.pool_loads += 1
-                return trace
-        trace = source.build()
-        self._save(path, source, trace, stats)
-        return trace
-
-    def ensure(self, source: TraceSource, trace: Trace,
-               stats: Optional["ExecutionStats"] = None) -> None:
-        """Capture ``trace`` unless a current pool entry already exists.
-
-        Used when a trace was materialized outside the pool (the in-memory
-        memo, a caller-supplied trace): the file-backed capture must still
-        appear, so later processes replay instead of re-synthesizing.
-        """
-        if source.signature is None:
-            return
-        path = self.path_for(source)
-        if os.path.exists(path) and self._entry_current(path, source):
-            return
-        self._save(path, source, trace, stats)
 
 
 # ---------------------------------------------------------------- result cache
@@ -800,8 +722,6 @@ class ExecutionStats:
     cached: int = 0
     store_hits: int = 0
     inflight_hits: int = 0
-    pool_loads: int = 0
-    pool_saves: int = 0
     pool_reused: int = 0
     retries: int = 0
     timeouts: int = 0
@@ -815,8 +735,6 @@ class ExecutionStats:
         self.cached += other.cached
         self.store_hits += other.store_hits
         self.inflight_hits += other.inflight_hits
-        self.pool_loads += other.pool_loads
-        self.pool_saves += other.pool_saves
         self.pool_reused += other.pool_reused
         self.retries += other.retries
         self.timeouts += other.timeouts
@@ -829,7 +747,6 @@ class ExecutionStats:
         # existing "token=value " shapes and must keep matching.
         return (
             f"jobs={self.jobs} simulated={self.simulated} cached={self.cached} "
-            f"pool_loads={self.pool_loads} "
             f"workers_effective={self.workers_effective} retries={self.retries} "
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
             f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
@@ -1051,9 +968,8 @@ def _warn_cache_bypassed(version: str) -> None:
 def _simulate_job(
     job: JobSpec,
     builder: BuilderSpec,
+    source: TraceSource,
     trace: Trace,
-    workload: str,
-    category: str,
     core_config: Optional[CoreConfig],
 ) -> RunResult:
     """Build → prewarm → simulate one job: the one path every job takes,
@@ -1066,8 +982,8 @@ def _simulate_job(
     summary = simulate(core, mode=job.mode)
     return RunResult(
         system=job.system,
-        workload=workload,
-        category=category,
+        workload=source.name,
+        category=source.category,
         ipc=summary["ipc"],
         cycles=summary["cycles"],
         instructions=summary["instructions"],
@@ -1079,9 +995,8 @@ def _simulate_job(
 def _run_job(plan: RunPlan, job: JobSpec, trace: Trace, stats: ExecutionStats) -> RunResult:
     """Simulate one job in this process, timed into ``stats.job_s``."""
     started = time.perf_counter()
-    source = plan.traces[job.trace]
     result = _simulate_job(
-        job, plan.builders[job.builder], trace, source.name, source.category,
+        job, plan.builders[job.builder], plan.traces[job.trace], trace,
         plan.core_config,
     )
     stats.job_s += time.perf_counter() - started
@@ -1110,70 +1025,19 @@ class _JobError:
         self.exc_type, self.detail, self.deterministic = state
 
 
-class _TraceTransportError(RuntimeError):
-    """A pool worker could not reconstruct a job's trace from its pool-file
-    reference (file vanished, changed, or failed its digest check).  The
-    supervisor retries the job with the record bytes shipped inline."""
-
-
-#: Decoded traces each pool worker retains (keyed by content).
-_WORKER_CACHE_CAP = 8
-
-
-def _payload_trace(payload: Dict[str, object], cache: "OrderedDict") -> Trace:
-    """Materialize a job payload's trace inside a pool worker.
-
-    ``("path", path, digest, ...)`` references mmap the shared pool file
-    and verify its content digest against the supervisor's — a mismatch
-    (stale or rewritten file) raises :class:`_TraceTransportError`, and
-    the supervisor falls back to shipping bytes.  ``("bytes", name,
-    category, blob)`` references rebuild the trace from its canonical
-    record bytes.  Either way the worker's trace is bit-identical to the
-    supervisor's.  Traces are cached per worker, keyed by content, so a
-    persistent worker decodes each trace once across jobs and sweeps.
-    """
-    ref = payload["trace_ref"]
-    if ref[0] == "path":
-        _, path, digest, _name, _category = ref
-        key = ("path", digest)
-        trace = cache.get(key)
-        if trace is not None:
-            cache.move_to_end(key)
-            return trace
-        try:
-            trace = map_trace(path)
-        except (OSError, TraceFormatError) as exc:
-            raise _TraceTransportError(f"pool file {path}: {exc}") from None
-        if trace_digest(trace) != digest:
-            raise _TraceTransportError(
-                f"pool file {path}: content digest mismatch (stale or rewritten)"
-            )
-    else:
-        _, name, category, blob = ref
-        key = ("bytes", hashlib.sha256(blob).hexdigest())
-        trace = cache.get(key)
-        if trace is not None:
-            cache.move_to_end(key)
-            return trace
-        trace = trace_from_records(name, category, blob)
-    cache[key] = trace
-    while len(cache) > _WORKER_CACHE_CAP:
-        cache.popitem(last=False)
-    return trace
-
-
-def _run_payload(
-    payload: Dict[str, object], trace_cache: "OrderedDict"
-) -> Tuple[RunResult, float]:
+def _run_payload(payload: Dict[str, object]) -> Tuple[RunResult, float]:
     """Run one shipped job inside a pool worker; returns (result, job_s).
 
-    Per-worker stats die with the worker, so each reply carries the job's
-    wall seconds back to the supervisor.
+    The worker synthesizes the job's trace from the shipped source (or
+    recalls it from its own memo), so ``job_s`` includes that.  Per-worker
+    stats die with the worker, so each reply carries the job's wall seconds
+    back to the supervisor.
     """
     started = time.perf_counter()
+    source = payload["source"]
     result = _simulate_job(
-        payload["job"], payload["builder"], _payload_trace(payload, trace_cache),
-        payload["workload"], payload["category"], payload["core_config"],
+        payload["job"], payload["builder"], source, materialize(source),
+        payload["core_config"],
     )
     return result, time.perf_counter() - started
 
@@ -1182,7 +1046,7 @@ def _pool_worker(conn) -> None:
     """One persistent pool worker: receive a job payload, run it, reply.
 
     Jobs arrive as self-contained payload dicts (job spec, picklable
-    builder spec, trace reference, pre-matched fault action) — the worker
+    builder spec, trace source, pre-matched fault action) — the worker
     outlives the ``execute()`` call that forked it and serves any later
     sweep, so nothing may depend on fork-time sweep state.  Replies
     ``(index, RunResult | _JobError, job_s)``; no exception escapes — the
@@ -1193,7 +1057,6 @@ def _pool_worker(conn) -> None:
     # plan inherited over fork must not also fire worker-side (its
     # counters would race the parent's).
     faults.install(None)
-    trace_cache: "OrderedDict" = OrderedDict()
     while True:
         try:
             message = conn.recv()
@@ -1209,7 +1072,7 @@ def _pool_worker(conn) -> None:
             if action == "garbage":
                 payload = "\x00injected-garbage-payload"
             else:
-                payload, seconds = _run_payload(message, trace_cache)
+                payload, seconds = _run_payload(message)
         except Exception as exc:
             payload = _JobError(
                 type(exc).__name__,
@@ -1237,8 +1100,8 @@ class _WorkerPool:
     """Process-global pool of persistent workers, shared across sweeps.
 
     Workers are forked lazily on first demand, parked idle when a sweep's
-    supervisor releases them, and handed — still warm, with their decoded
-    traces intact — to the next sweep that asks, whether that sweep runs
+    supervisor releases them, and handed — still warm, with their trace
+    memo intact — to the next sweep that asks, whether that sweep runs
     in this thread or a concurrent service thread.  Jobs travel as
     self-contained payloads, so nothing here depends on fork-time sweep
     state and no fork lock serializes concurrent supervised fan-outs.
@@ -1450,7 +1313,7 @@ def worker_pool_stats() -> Dict[str, int]:
 class _Pending:
     """One not-yet-committed job in the supervisor's queue."""
 
-    __slots__ = ("index", "job", "key", "seq", "attempts", "ready_at", "ship_bytes")
+    __slots__ = ("index", "job", "key", "seq", "attempts", "ready_at")
 
     def __init__(self, index: int, job: JobSpec, key: Optional[str], seq: int):
         self.index = index
@@ -1459,7 +1322,6 @@ class _Pending:
         self.seq = seq  #: stable position in the pending list (fault matching)
         self.attempts = 0  #: dispatches so far
         self.ready_at = 0.0  #: backoff: earliest monotonic re-dispatch time
-        self.ship_bytes = False  #: ship record bytes (pool-file ref failed once)
 
     def label(self) -> str:
         return f"{self.job.system}/{self.job.trace}"
@@ -1508,7 +1370,7 @@ class _SupervisedExecutor:
     one.  Healthy workers return to the pool at shutdown; crashed, hung,
     or garbage-spewing ones are discarded — never pooled.  Jobs whose
     payload cannot ship (``transportable`` is false: ad-hoc lambda
-    builders) run in-process via ``run_local`` with
+    builders, opaque trace sources) run in-process via ``run_local`` with
     quarantine-on-exception semantics, as does the whole queue when
     worker acquisition keeps failing (degradation).
     """
@@ -1626,8 +1488,7 @@ class _SupervisedExecutor:
             worker = idle.pop()
             try:
                 # The payload is built per dispatch: the shipped fault
-                # action depends on the attempt, and a retried job may
-                # switch its trace reference to inline bytes.
+                # action depends on the attempt.
                 worker.conn.send(self.payload_for(entry))
             except (BrokenPipeError, OSError):
                 # Died while idle: no job was lost, just replace it.
@@ -1751,10 +1612,6 @@ class _SupervisedExecutor:
         )
         payload = message[1] if valid else None
         if valid and isinstance(payload, _JobError):
-            if payload.exc_type == "_TraceTransportError":
-                # The shared pool file failed the worker (vanished, stale,
-                # digest mismatch): retry with the bytes shipped inline.
-                entry.ship_bytes = True
             self._fail(
                 entry, "error", f"{payload.exc_type}: {payload.detail}",
                 deterministic=payload.deterministic,
@@ -1793,8 +1650,6 @@ def execute(
     plan: RunPlan,
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    pool: Optional[TracePool] = None,
-    trace_memo: bool = True,
     supervision: Optional[SupervisionPolicy] = None,
     on_result: Optional[Callable[[JobSpec, RunResult], None]] = None,
     on_progress: Optional[Callable[[int, int, ExecutionStats], None]] = None,
@@ -1814,17 +1669,13 @@ def execute(
             (``SweepManager``) stays sequential unless ``--workers`` is
             set.  Workers outlive this call and are reused by later
             sweeps, including concurrent ones from service threads (no
-            fork lock).
+            fork lock).  A worker receives the job's trace source and
+            synthesizes the trace itself.
         cache: result cache; ``None`` disables memoization.  A ``-dirty``
             or unknown simulator version bypasses a configured cache with a
             warning.  The cache is also the sweep's checkpoint: each job
             is committed to it the moment it finishes, so an interrupted
             sweep resumes from the committed jobs.
-        pool: trace pool; defaults to ``<cache dir>/traces`` when a cache
-            is active, else in-memory synthesis.
-        trace_memo: share immutable synthesized traces (and their cached
-            decode / resident set / digest) across execute calls in this
-            process; disable to force per-plan materialization.
         supervision: retry/timeout/quarantine policy for the worker path
             (defaults to :class:`SupervisionPolicy`'s defaults; an active
             fault plan may override fields for testing).
@@ -1853,8 +1704,6 @@ def execute(
             _warn_cache_bypassed(version)
             active_cache = None
             active_store = None
-    if pool is None and active_cache is not None:
-        pool = TracePool(os.path.join(active_cache.directory, "traces"))
 
     progress = on_progress if on_progress is not None else _DEFAULT_PROGRESS
     total = len(plan.jobs)
@@ -1867,52 +1716,34 @@ def execute(
             progress(done, total, stats)
 
     traces: Dict[str, Trace] = {}
-    digests: Dict[str, str] = {}
 
-    def materialize(key: str) -> Trace:
-        trace = traces.get(key)
+    def trace_for(name: str) -> Trace:
+        """``plan.traces[name]``'s trace, built at most once per call."""
+        trace = traces.get(name)
         if trace is None:
-            source = plan.traces[key]
-            memo_key = _memo_key(source) if trace_memo else None
-            trace = _TRACE_MEMO.get(memo_key) if memo_key is not None else None
-            if trace is None:
-                trace = pool.fetch(source, stats) if pool is not None else source.build()
-                if memo_key is not None:
-                    _TRACE_MEMO[memo_key] = trace
-                    while len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
-                        _TRACE_MEMO.popitem(last=False)
-            elif pool is not None:
-                # Memo hit, but the file-backed capture must still appear.
-                pool.ensure(source, trace, stats)
-            traces[key] = trace
+            trace = traces[name] = materialize(plan.traces[name])
         return trace
-
-    def content_digest(key: str) -> str:
-        digest = digests.get(key)
-        if digest is None:
-            digest = trace_digest(materialize(key))
-            digests[key] = digest
-        return digest
 
     core_digest = _core_config_digest(plan.core_config)
     results: List[Optional[RunResult]] = [None] * len(plan.jobs)
 
-    # Content-address every job up front: the keys name the cache entries,
-    # the store rows and the in-flight claims.  The metas carry the digest
-    # provenance the store persists per row.
+    # Address every job up front: the keys name the cache entries, the
+    # store rows and the in-flight claims.  A catalog trace is keyed by its
+    # signature, so only an opaque one is built here.  The metas carry the
+    # digest provenance the store persists per row.
     keys: List[Optional[str]] = [None] * len(plan.jobs)
     metas: List[Optional[Dict[str, object]]] = [None] * len(plan.jobs)
     if active_cache is not None or active_store is not None:
         for index, job in enumerate(plan.jobs):
             builder_digest = plan.builders[job.builder].digest()
             if builder_digest is not None:
-                trace_content = content_digest(job.trace)
+                trace_id = trace_key(plan.traces[job.trace], partial(trace_for, job.trace))
                 keys[index] = _cache_key(
-                    job, builder_digest, trace_content, core_digest, version
+                    job, builder_digest, trace_id, core_digest, version
                 )
                 metas[index] = {
                     "builder_digest": builder_digest,
-                    "trace_digest": trace_content,
+                    "trace_digest": trace_id,
                     "core_digest": core_digest,
                     "simulator_version": version,
                     "num_instructions": job.num_instructions,
@@ -1924,36 +1755,33 @@ def execute(
         if active_store is not None:
             active_store.put(key, result, meta=metas[index])
 
-    pending: List[Tuple[int, JobSpec, Optional[str]]] = []
-    for index, job in enumerate(plan.jobs):
-        key = keys[index]
-        if key is not None:
+    def lookup(index: int, job: JobSpec, key: str) -> bool:
+        """Answer one job from the cache, else the store; True on a hit."""
+        hit = active_cache.get(key) if active_cache is not None else None
+        if hit is not None:
+            stats.cached += 1
+            # The store converges on everything the cache knows.
+            store_put(index, key, hit)
+        else:
+            hit = active_store.get(key) if active_store is not None else None
+            if hit is None:
+                return False
+            stats.store_hits += 1
             if active_cache is not None:
-                hit = active_cache.get(key)
-                if hit is not None:
-                    hit.system = job.system
-                    results[index] = hit
-                    stats.cached += 1
-                    # The store converges on everything the cache knows.
-                    store_put(index, key, hit)
-                    if on_result is not None:
-                        on_result(job, hit)
-                    note_done()
-                    continue
-            if active_store is not None:
-                hit = active_store.get(key)
-                if hit is not None:
-                    hit.system = job.system
-                    results[index] = hit
-                    stats.store_hits += 1
-                    if active_cache is not None:
-                        # Repair the faster tier so the next run is one open().
-                        active_cache.put(key, hit, meta=metas[index])
-                    if on_result is not None:
-                        on_result(job, hit)
-                    note_done()
-                    continue
-        pending.append((index, job, key))
+                # Repair the faster tier so the next run is one open().
+                active_cache.put(key, hit, meta=metas[index])
+        hit.system = job.system
+        results[index] = hit
+        if on_result is not None:
+            on_result(job, hit)
+        note_done()
+        return True
+
+    pending = [
+        (index, job, keys[index])
+        for index, job in enumerate(plan.jobs)
+        if keys[index] is None or not lookup(index, job, keys[index])
+    ]
 
     # In-flight dedup: claim every addressable pending job.  Owned jobs
     # simulate here; a job another thread already claimed waits for that
@@ -1961,20 +1789,25 @@ def execute(
     claimed: set = set()
     owned: List[Tuple[int, JobSpec, Optional[str]]] = []
     waiting: List[Tuple[int, JobSpec, str, _InflightEntry]] = []
-    for index, job, key in pending:
-        entry = _INFLIGHT.claim(key) if key is not None else None
-        if entry is None:
-            if key is not None:
-                claimed.add(key)
-            owned.append((index, job, key))
-        else:
-            waiting.append((index, job, key, entry))
-
     failures: List[JobFailure] = []
     try:
+        for index, job, key in pending:
+            entry = _INFLIGHT.claim(key) if key is not None else None
+            if entry is not None:
+                waiting.append((index, job, key, entry))
+                continue
+            if key is not None:
+                claimed.add(key)
+                # Another thread may have committed the job (cache write,
+                # then release of its claim) between the lookup above and
+                # this claim: look again rather than simulate it twice.
+                if lookup(index, job, key):
+                    claimed.discard(key)
+                    _INFLIGHT.resolve(key, _copy_result(results[index]))
+                    continue
+            owned.append((index, job, key))
+
         if pending:
-            for _, job, _ in pending:
-                materialize(job.trace)  # pool files land before any dispatch
             stats.simulated = len(owned)
 
             def commit(index: int, job: JobSpec, key: Optional[str],
@@ -2009,55 +1842,31 @@ def execute(
                     for seq, (index, job, key) in enumerate(owned)
                 ]
                 # Jobs ship to the persistent pool as self-contained
-                # payloads; a builder must pickle by reference (registry
-                # specs do — functools.partial of module-level factories)
-                # and carry a digest.  Anything else runs in-process.
-                shippable: Dict[str, bool] = {}
+                # payloads: a builder must carry a digest, and it and the
+                # trace source must pickle by reference (registry specs
+                # and catalog sources do — functools.partial of
+                # module-level factories).  Anything else runs in-process.
+                shippable: Dict[Tuple[str, str], bool] = {}
 
                 def transportable(entry: _Pending) -> bool:
-                    name = entry.job.builder
-                    known = shippable.get(name)
+                    names = (entry.job.builder, entry.job.trace)
+                    known = shippable.get(names)
                     if known is None:
-                        spec = plan.builders[name]
-                        known = spec.digest() is not None
+                        builder = plan.builders[names[0]]
+                        known = builder.digest() is not None
                         if known:
                             try:
-                                pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
+                                pickle.dumps(
+                                    (builder, plan.traces[names[1]]),
+                                    pickle.HIGHEST_PROTOCOL,
+                                )
                             except Exception:
                                 known = False
-                        shippable[name] = known
+                        shippable[names] = known
                     return known
-
-                ref_cache: Dict[Tuple[str, bool], tuple] = {}
-
-                def trace_ref(entry: _Pending) -> tuple:
-                    cache_key = (entry.job.trace, entry.ship_bytes)
-                    ref = ref_cache.get(cache_key)
-                    if ref is None:
-                        trace = traces[entry.job.trace]
-                        source = plan.traces[entry.job.trace]
-                        if (
-                            not entry.ship_bytes
-                            and pool is not None
-                            and source.signature is not None
-                        ):
-                            path = pool.path_for(source)
-                            if os.path.exists(path):
-                                ref = (
-                                    "path", path, content_digest(entry.job.trace),
-                                    trace.name, trace.category,
-                                )
-                        if ref is None:
-                            ref = (
-                                "bytes", trace.name, trace.category,
-                                records_bytes(trace),
-                            )
-                        ref_cache[cache_key] = ref
-                    return ref
 
                 def payload_for(entry: _Pending) -> Dict[str, object]:
                     job = entry.job
-                    source = plan.traces[job.trace]
                     return {
                         "index": entry.index,
                         "label": entry.label(),
@@ -2068,15 +1877,13 @@ def execute(
                             entry.label(), entry.seq, entry.attempts
                         ),
                         "job": job,
-                        "workload": source.name,
-                        "category": source.category,
                         "builder": plan.builders[job.builder],
-                        "trace_ref": trace_ref(entry),
+                        "source": plan.traces[job.trace],
                         "core_config": plan.core_config,
                     }
 
                 def run_local(entry: _Pending) -> RunResult:
-                    return _run_job(plan, entry.job, traces[entry.job.trace], stats)
+                    return _run_job(plan, entry.job, trace_for(entry.job.trace), stats)
 
                 executor = _SupervisedExecutor(
                     entries,
@@ -2094,7 +1901,7 @@ def execute(
             elif owned:
                 stats.workers_effective = max(stats.workers_effective, 1)
                 for index, job, key in owned:
-                    commit(index, job, key, _run_job(plan, job, traces[job.trace], stats))
+                    commit(index, job, key, _run_job(plan, job, trace_for(job.trace), stats))
 
             if waiting:
                 # Quarantined owned jobs never committed: release their
@@ -2121,7 +1928,7 @@ def execute(
                         stats.simulated += 1
                         stats.workers_effective = max(stats.workers_effective, 1)
                         commit(
-                            index, job, key, _run_job(plan, job, traces[job.trace], stats)
+                            index, job, key, _run_job(plan, job, trace_for(job.trace), stats)
                         )
                         continue
                     result = _copy_result(adopted)

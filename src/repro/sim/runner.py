@@ -43,9 +43,9 @@ either loop.
 
 :func:`run_suite` compiles its sweep into a declarative
 :class:`~repro.sim.plan.RunPlan` and hands it to the shared plan executor
-(:func:`repro.sim.plan.execute`), which provides worker fan-out, the
-file-backed trace pool and the content-addressed result cache — every
-fast path bit-identical to the direct :func:`run_workload` path.
+(:func:`repro.sim.plan.execute`), which provides worker fan-out and the
+on-disk result cache — every fast path bit-identical to the direct
+:func:`run_workload` path.
 """
 
 from __future__ import annotations
@@ -241,19 +241,18 @@ def run_suite(
     trace_factory: Optional[Callable] = None,
     traces: Optional[Dict[str, Trace]] = None,
     cache=None,
-    pool=None,
     supervision=None,
     on_result: Optional[Callable] = None,
 ) -> List[RunResult]:
     """Run every workload on every configuration.
 
-    Traces are generated once per workload and reused across configurations
-    so all systems see the identical instruction stream (as the paper's
-    SimPoints guarantee).  The sweep is compiled into a declarative
-    :class:`~repro.sim.plan.RunPlan` and executed by
-    :func:`repro.sim.plan.execute`; its fast paths (trace pool, result
-    cache) are bit-identical to calling
-    :func:`run_workload` per pair.
+    Every system sees the identical instruction stream for a workload (as
+    the paper's SimPoints guarantee): a trace is a pure function of its
+    spec and length, synthesized where the job runs — once per process,
+    shared through the plan layer's trace memo.  The sweep is compiled into
+    a declarative :class:`~repro.sim.plan.RunPlan` and executed by
+    :func:`repro.sim.plan.execute`; its result cache is bit-identical to
+    calling :func:`run_workload` per pair.
 
     Args:
         mode: scheduler mode passed to every simulation.
@@ -278,8 +277,6 @@ def run_suite(
             factory.
         cache: a :class:`~repro.sim.plan.ResultCache` memoizing finished
             runs on disk; ``None`` (the default) simulates everything.
-        pool: a :class:`~repro.sim.plan.TracePool` replaying traces from
-            file-backed captures instead of re-synthesizing.
         supervision: a :class:`~repro.sim.plan.SupervisionPolicy` tuning
             the worker path's retry/timeout/quarantine behaviour; ``None``
             uses the defaults.  In non-strict mode a permanently failing
@@ -304,7 +301,7 @@ def run_suite(
         traces=traces,
     )
     run = plan_module.execute(
-        compiled, workers=workers, cache=cache, pool=pool,
+        compiled, workers=workers, cache=cache,
         supervision=supervision, on_result=on_result,
     )
     if run.failures:

@@ -4,7 +4,7 @@ The :class:`~repro.sim.plan.ResultCache` answers exactly one question —
 "has this exact job already run?" — in one ``open()``.  The
 :class:`ResultStore` is the analytical tier behind it: one SQLite row per
 completed job, carrying the full digest provenance (builder digest, trace
-content digest, simulator version, run parameters), the headline numbers
+key, simulator version, run parameters), the headline numbers
 (cycles, IPC, instructions) as indexed columns, and the complete
 :class:`~repro.sim.runner.RunResult` as JSON.  That makes the corpus of
 finished work *queryable* — filter by hierarchy label, workload,
@@ -30,8 +30,8 @@ Robustness rules, matching the cache's:
   and a fresh store is initialised in its place (the cache and
   re-simulation can always rebuild it).
 * A schema-version mismatch **refuses** to open (:class:`StoreSchemaError`)
-  instead of misreading rows; :meth:`ResultStore.migrate` is the
-  designated upgrade point.
+  instead of misreading rows; :meth:`ResultStore.migrate` upgrades an
+  older file in place.
 
 ``REPRO_STORE_PATH`` overrides the on-disk location (default:
 ``<result cache dir>/results.sqlite``).
@@ -56,10 +56,12 @@ from repro.sim.plan import (
 )
 from repro.sim.runner import RunResult
 
-#: Bump on any change to the table layout; an old store then refuses to
-#: open (StoreSchemaError) instead of being misread, and ``migrate`` is
-#: the place to teach the upgrade.
-STORE_SCHEMA = 1
+#: Bump on any change to the table layout or to what a column means; an
+#: old store then refuses to open (StoreSchemaError) instead of being
+#: misread, and ``migrate`` teaches the upgrade.  Schema 2: a catalog
+#: row's ``trace_digest`` is the trace's signature digest, not its content
+#: digest (see :func:`repro.sim.plan.trace_key`).
+STORE_SCHEMA = 2
 
 #: Columns persisted per result row, in insert order.
 _COLUMNS = (
@@ -487,18 +489,38 @@ class ResultStore:
         return report
 
     # -- migrations --------------------------------------------------------
-    def migrate(self) -> None:
-        """Upgrade an old-schema store in place.
+    @staticmethod
+    def migrate(path: Optional[str] = None) -> None:
+        """Upgrade the store file at ``path`` (default: the default store)
+        to :data:`STORE_SCHEMA` in place, one schema step at a time.
 
-        Stub on purpose: schema 1 is the first schema, so there is
-        nothing to migrate *from* yet.  When STORE_SCHEMA bumps, this is
-        where the stepwise ``ALTER TABLE`` chain goes; until then an
-        old-schema file refuses to open and the remedy is a fresh path.
+        A static method, because an old-schema file refuses to open.
+        1 → 2 sets every row's ``trace_digest`` to NULL: schema-1 rows
+        hold content digests, schema-2 catalog rows signature digests, so
+        :meth:`compare` must never match one against the other.  The rows
+        stay, queryable by label and workload.  A schema this code does
+        not know raises :class:`StoreSchemaError`.
         """
-        raise NotImplementedError(
-            f"no migrations exist yet (current schema: {STORE_SCHEMA}); "
-            "point REPRO_STORE_PATH at a fresh file and re-ingest"
-        )
+        path = path if path is not None else default_store_path()
+        conn = sqlite3.connect(path)
+        try:
+            with conn:
+                (schema,) = conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema'"
+                ).fetchone()
+                if schema == "1":
+                    conn.execute("UPDATE results SET trace_digest = NULL")
+                    schema = "2"
+                if schema != str(STORE_SCHEMA):
+                    raise StoreSchemaError(
+                        f"result store {path} has schema {schema}, which this "
+                        f"build cannot migrate to {STORE_SCHEMA}"
+                    )
+                conn.execute(
+                    "UPDATE meta SET value = ? WHERE key = 'schema'", (schema,)
+                )
+        finally:
+            conn.close()
 
 
 def _scenario_names_for_tag(tag: str) -> List[str]:

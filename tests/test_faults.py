@@ -127,8 +127,8 @@ class TestFileOps:
 
     def test_delete_removes(self, tmp_path):
         path = self._write(tmp_path)
-        faults.install(FaultPlan(specs=[FaultSpec(site="trace-pool", op="delete")]))
-        faults.on_write("trace-pool", path)
+        faults.install(FaultPlan(specs=[FaultSpec(site="store", op="delete")]))
+        faults.on_write("store", path)
         assert not os.path.exists(path)
 
     def test_nth_write_counter(self, tmp_path):

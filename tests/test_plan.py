@@ -1,8 +1,8 @@
 """Differential tests for the declarative run-plan layer.
 
-The contract of :mod:`repro.sim.plan`: every fast path — file-backed
-trace-pool replay, the content-addressed result cache, worker fan-out —
-must be **bit-identical** (cycles, IPC, every activity and core counter)
+The contract of :mod:`repro.sim.plan`: every fast path — the result
+cache, worker fan-out with worker-side trace synthesis — must be
+**bit-identical** (cycles, IPC, every activity and core counter)
 to the direct path (fresh build, per-job prewarm, per-job synthesis,
 sequential, uncached).  These tests enforce it across all four
 hierarchy types, warm and cold.
@@ -10,16 +10,15 @@ hierarchy types, warm and cold.
 
 import json
 import os
+import pickle
 import sys
 import threading
 import warnings
-from collections import OrderedDict
 
 import pytest
 
 from repro.cpu.workloads import workload_by_name
-from repro.scenarios import records_bytes, scenario
-from repro.scenarios.tracefile import map_trace
+from repro.scenarios import load_trace, scenario
 from repro.sim import plan
 from repro.sim.configs import (
     BuilderSpec,
@@ -33,7 +32,6 @@ from repro.sim.plan import (
     ExecutionStats,
     JobSpec,
     ResultCache,
-    TracePool,
     compile_sweep,
     execute,
     trace_digest,
@@ -139,8 +137,9 @@ class TestRepeatedJobs:
 
     @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
     def test_pool_payload_takes_the_in_process_path(self, name):
-        """A pool worker's payload and an in-process job run the same
-        build -> prewarm -> simulate helper, so their results match."""
+        """A pool worker's payload (the pickled trace source, not the
+        trace) and an in-process job run the same build -> prewarm ->
+        simulate helper, so their results match."""
         spec = two_workloads()[0]
         compiled = compile_sweep({name: FOUR_HIERARCHIES[name]}, [spec], TINY)
         job = compiled.jobs[0]
@@ -149,15 +148,14 @@ class TestRepeatedJobs:
         stats = ExecutionStats()
         local = plan._run_job(compiled, job, trace, stats)
         assert stats.job_s > 0.0
-        payload = {
+        payload = pickle.loads(pickle.dumps({
             "job": job,
             "builder": compiled.builders[job.builder],
-            "workload": source.name,
-            "category": source.category,
+            "source": source,
             "core_config": compiled.core_config,
-            "trace_ref": ("bytes", trace.name, trace.category, records_bytes(trace)),
-        }
-        shipped, job_s = plan._run_payload(payload, OrderedDict())
+        }))
+        plan._TRACE_MEMO.clear()  # the worker side synthesizes its own trace
+        shipped, job_s = plan._run_payload(payload)
         assert job_s > 0.0
         assert_identical([local], [shipped])
 
@@ -310,63 +308,153 @@ class TestJobSeconds:
         assert total.job_s == 0.75
 
 
-# ---------------------------------------------------------------- trace pool
-class TestTracePool:
-    def test_pool_replay_is_byte_identical_to_synthesis(self, tmp_path):
-        spec = scenario("kv-zipf-hot")
-        source = trace_source_for(spec, TINY)
-        synthesized = source.build()
-        pool = TracePool(str(tmp_path / "pool"))
-        stats = ExecutionStats()
-        captured = pool.fetch(source, stats)  # first fetch synthesizes + saves
-        replayed = pool.fetch(source, stats)  # second fetch replays the file
-        assert stats.pool_saves == 1 and stats.pool_loads == 1
-        assert records_bytes(replayed) == records_bytes(synthesized)
-        assert trace_digest(replayed) == trace_digest(synthesized)
+# ------------------------------------------------------------ trace keys
+def _count_builds(monkeypatch):
+    """Count ``TraceSource.build`` calls made in this process."""
+    calls = []
+    original = plan.TraceSource.build
 
-    def test_pooled_runs_match_unpooled(self, tmp_path):
-        specs = [scenario("kv-zipf-hot"), scenario("gups-8m")]
-        builders = {"L2-256KB": conventional_spec()}
-        unpooled = run_suite(builders, specs, TINY)
-        pool = TracePool(str(tmp_path / "pool"))
-        run_suite(builders, specs, TINY, pool=pool)  # populates the pool
-        pooled = run_suite(builders, specs, TINY, pool=pool)  # replays it
-        assert_identical(unpooled, pooled)
+    def build(self):
+        calls.append(self.name)
+        return original(self)
 
-    def test_same_name_workload_and_scenario_entries_coexist(self, tmp_path):
+    monkeypatch.setattr(plan.TraceSource, "build", build)
+    return calls
+
+
+_DIGESTS_SCRIPT = """
+import json
+from repro.cpu.workloads import full_suite
+from repro.scenarios import scenarios
+from repro.sim.plan import trace_digest, trace_key, trace_source_for
+
+sources = [trace_source_for(spec, 300) for spec in list(scenarios()) + list(full_suite())]
+print(json.dumps([
+    [trace_key(source, None), trace_digest(source.build())] for source in sources
+]))
+"""
+
+
+class TestSignatureKeys:
+    """A catalog trace is keyed by its signature and synthesized where its
+    job runs; only opaque traces are keyed (and built) by content."""
+
+    def test_catalog_traces_are_pure_functions_of_their_signature(self):
+        """Every catalog scenario and legacy workload synthesizes to the
+        same content in fresh interpreters with different hash seeds, so
+        its signature key names one trace wherever it is synthesized."""
+        import subprocess
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        runs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _DIGESTS_SCRIPT],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+            runs.append(json.loads(out))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) >= 50
+        signature_keys = [key for key, _ in runs[0]]
+        assert len(set(signature_keys)) == len(signature_keys)
+
+    def test_signature_key_needs_no_trace(self):
+        source = trace_source_for(scenario("kv-zipf-hot"), TINY)
+        key = plan.trace_key(source, None)  # a signature key never builds
+        assert key == plan.trace_key(trace_source_for(scenario("kv-zipf-hot"), TINY), None)
+        assert key != plan.trace_key(trace_source_for(scenario("kv-zipf-hot"), TINY + 1), None)
+
+    def test_opaque_sources_keep_content_keys(self):
+        spec = two_workloads()[0]
+        from repro.cpu.workloads import generate_trace
+
+        trace = generate_trace(spec, TINY)
+        source = trace_source_for(spec, TINY, pregenerated=trace)
+        assert source.signature is None
+        assert plan.trace_key(source, lambda: trace) == trace_digest(trace)
+
+    def test_same_name_workload_and_scenario_keys_differ(self):
         """The spec2006 port reuses legacy workload names; the two sources
-        have incompatible signatures and must not fight over one file."""
+        have different signatures and must never share a key."""
         workload_src = trace_source_for(workload_by_name("mcf-like"), 500)
         scenario_src = trace_source_for(scenario("mcf-like"), 500)
-        pool = TracePool(str(tmp_path / "pool"))
-        assert pool.path_for(workload_src) != pool.path_for(scenario_src)
-        pool.fetch(workload_src)
-        pool.fetch(scenario_src)
-        stats = ExecutionStats()
-        pool.fetch(workload_src, stats)
-        pool.fetch(scenario_src, stats)
-        assert stats.pool_loads == 2 and stats.pool_saves == 0  # no churn
+        assert plan.trace_key(workload_src, None) != plan.trace_key(scenario_src, None)
 
     def test_custom_factory_scenario_source_is_opaque(self):
         """A non-registry factory must not publish the catalog signature,
-        or the memo/pool would serve custom content under the catalog
-        identity."""
+        or the keys and the memo would serve custom content under the
+        catalog identity."""
         source = trace_source_for(
             scenario("kv-zipf-hot"), 500, trace_factory=lambda spec, n: None
         )
         assert source.signature is None
-        assert source.kind == "opaque"
 
-    def test_workload_sources_pool_too(self, tmp_path):
+    def test_non_catalog_family_is_opaque(self):
+        """A family registered outside the package is not pinned by the
+        commit in the cache key, so its scenarios stay opaque."""
+        spec = scenario("kv-zipf-hot")
+        import dataclasses
+
+        custom = dataclasses.replace(spec, family="not-a-catalog-family")
+        assert trace_source_for(custom, 500).signature is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_cold_pooled_sweep_builds_no_trace_in_the_parent(self, cache, monkeypatch):
+        specs = two_workloads()
+        compiled = compile_sweep(FOUR_HIERARCHIES, specs, TINY)
+        reference = direct_path(compiled, specs)
+        plan._TRACE_MEMO.clear()
+        builds = _count_builds(monkeypatch)
+        run = execute(compiled, cache=cache, workers=2)
+        assert not run.failures
+        assert builds == []
+        assert run.stats.simulated == len(compiled.jobs)
+        assert run.stats.workers_effective == 2
+        assert_identical(run.results, reference)
+
+    def test_warm_execute_builds_no_trace(self, cache, monkeypatch):
+        compiled = compile_sweep(FOUR_HIERARCHIES, two_workloads(), TINY)
+        cold = execute(compiled, cache=cache)
+        plan._TRACE_MEMO.clear()
+        builds = _count_builds(monkeypatch)
+        warm = execute(compiled, cache=cache)
+        assert builds == []
+        assert warm.stats.cached == len(compiled.jobs)
+        assert_identical(warm.results, cold.results)
+
+    def test_opaque_sources_run_in_process(self):
+        """An inline trace cannot ship to a worker: its jobs run here."""
         spec = two_workloads()[0]
-        source = trace_source_for(spec, TINY)
-        assert source.signature is not None
-        pool = TracePool(str(tmp_path / "pool"))
-        stats = ExecutionStats()
-        first = pool.fetch(source, stats)
-        second = pool.fetch(source, stats)
-        assert stats.pool_loads == 1
-        assert records_bytes(first) == records_bytes(second)
+        from repro.cpu.workloads import generate_trace
+
+        compiled = compile_sweep(
+            FOUR_HIERARCHIES, [spec], TINY, traces={spec.name: generate_trace(spec, TINY)}
+        )
+        run = execute(compiled, workers=2)
+        assert not run.failures
+        assert run.stats.workers_effective == 1
+        assert_identical(run.results, direct_path(compiled, [spec]))
+
+    def test_job_committed_between_lookup_and_claim_is_not_resimulated(
+        self, cache, monkeypatch
+    ):
+        """A job another thread commits after this call's cache lookup but
+        before its in-flight claim is read from the cache, not simulated
+        a second time."""
+        compiled = compile_sweep({"L2-256KB": conventional_spec()}, two_workloads()[:1], TINY)
+        reference = execute(compiled).results
+        claim = plan._INFLIGHT.claim
+
+        def claim_after_other_commit(key):
+            cache.put(key, reference[0])  # the other thread's commit
+            return claim(key)
+
+        monkeypatch.setattr(plan._INFLIGHT, "claim", claim_after_other_commit)
+        run = execute(compiled, cache=cache)
+        assert run.stats.simulated == 0
+        assert run.stats.cached == 1
+        assert_identical(run.results, reference)
 
 
 # -------------------------------------------------------------- result cache
@@ -467,7 +555,10 @@ class TestResultCache:
         execute(compile_sweep(builders, [spec], TINY), cache=cache)
         (entry,) = self._entry_paths(cache)
         with open(entry, "w", encoding="utf-8") as handle:
-            json.dump({"schema": 1, "result": {"system": "x", "activity": 3}}, handle)
+            json.dump(
+                {"schema": plan.RESULT_SCHEMA, "result": {"system": "x", "activity": 3}},
+                handle,
+            )
         with pytest.warns(RuntimeWarning, match="discarding corrupt entry"):
             rerun = execute(compile_sweep(builders, [spec], TINY), cache=cache)
         assert rerun.stats.simulated == 1
@@ -537,8 +628,8 @@ class TestResultCache:
 
 # ---------------------------------------------------------- concurrent writes
 class TestThreadedSameKeyWrites:
-    """Threads of one process share a pid, so same-key writers of the
-    result cache and the trace pool must never share a temp file."""
+    """Threads of one process share a pid, so same-key writers of a
+    result-cache entry or a trace capture must never share a temp file."""
 
     THREADS = 8
     ROUNDS = 20
@@ -583,15 +674,15 @@ class TestThreadedSameKeyWrites:
         assert self._tmp_leftovers(os.path.dirname(cache._path(key))) == []
         assert cache.verify()["corrupt"] == 0
 
-    def test_trace_pool_same_trace(self, tmp_path):
-        source = trace_source_for(two_workloads()[0], TINY)
-        trace = source.build()
-        pool = TracePool(str(tmp_path / "pool"))
-        path = pool.path_for(source)
-        self._hammer(lambda: pool._save(path, source, trace, None))
-        assert self._tmp_leftovers(pool.directory) == []
-        assert trace_digest(map_trace(path)) == trace_digest(trace)
-        assert pool.fetch(source).instructions == trace.instructions
+    def test_capture_same_path(self, tmp_path):
+        from repro import cli
+
+        spec = scenario("kv-zipf-hot")
+        path = str(tmp_path / f"kv-zipf-hot-{TINY}.lntr")
+        self._hammer(lambda: cli._write_capture(spec, TINY, path))
+        assert self._tmp_leftovers(str(tmp_path)) == []
+        reference = trace_source_for(spec, TINY).build()
+        assert trace_digest(load_trace(path)) == trace_digest(reference)
 
 
 # ------------------------------------------------------------- atomic writes
@@ -651,7 +742,7 @@ class TestAtomicWrites:
 
 # ----------------------------------------------------- write-fault recovery
 class TestWriteFaultRecovery:
-    """A damaged write to either on-disk tier is detected on the next read
+    """A damaged cache entry or trace capture is detected on the next read
     and replaced, never replayed."""
 
     @pytest.fixture(autouse=True)
@@ -680,23 +771,29 @@ class TestWriteFaultRecovery:
         assert execute(compiled, cache=cache).stats.cached == len(compiled.jobs)
 
     @pytest.mark.parametrize("op", ["corrupt", "truncate", "delete"])
-    def test_trace_pool_capture_is_regenerated(self, tmp_path, op):
-        from repro.sim import faults
-        from repro.sim.faults import FaultPlan, FaultSpec
+    def test_traces_dir_capture_is_rewritten(self, tmp_path, capsys, op):
+        from repro import cli
 
-        source = trace_source_for(two_workloads()[0], TINY)
-        reference = source.build()
-        pool = TracePool(str(tmp_path / "pool"))
-        faults.install(FaultPlan(specs=[FaultSpec(site="trace-pool", op=op, nth=0)]))
-        pool.fetch(source)
-        faults.install(FaultPlan())
-        stats = ExecutionStats()
-        replayed = pool.fetch(source, stats)
-        assert stats.pool_loads == 0 and stats.pool_saves == 1
-        assert replayed.instructions == reference.instructions
-        healed = ExecutionStats()
-        assert trace_digest(pool.fetch(source, healed)) == trace_digest(reference)
-        assert healed.pool_loads == 1
+        size = 300
+        traces_dir = str(tmp_path / "traces")
+        args = ["--instructions", str(size), "--workers", "1", "scenarios", "run",
+                "--names", "gups-8m", "--traces-dir", traces_dir]
+        assert cli.main(args) == 0
+        first = capsys.readouterr().out
+        path = os.path.join(traces_dir, f"gups-8m-{size}.lntr")
+        if op == "corrupt":
+            with open(path, "r+b") as handle:
+                handle.write(b"\xff" * 16)
+        elif op == "truncate":
+            os.truncate(path, os.path.getsize(path) // 2)
+        else:
+            os.remove(path)
+        assert cli.main(args) == 0
+        second = capsys.readouterr().out
+        assert ("unreadable capture" in second) == (op != "delete")
+        assert second.endswith(first)  # the sweep itself is unchanged
+        reference = trace_source_for(scenario("gups-8m"), size).build()
+        assert trace_digest(load_trace(path)) == trace_digest(reference)
 
 
 # ------------------------------------------------------------------ the plan
@@ -717,7 +814,7 @@ class TestPlanCompilation:
             {"L2-256KB": conventional_spec()}, [spec], TINY, traces={spec.name: trace}
         )
         source = compiled.traces[spec.name]
-        assert source.signature is None  # inline traces are not pooled
+        assert source.signature is None  # inline traces are opaque
         assert source.build() is trace
 
     def test_scenario_signature_excludes_backend_override(self):

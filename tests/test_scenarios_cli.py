@@ -87,7 +87,7 @@ class TestScenariosCli:
         cli.main(args)
         first = capsys.readouterr().out
         assert os.path.exists(os.path.join(cache, f"gups-8m-{TINY}.lntr"))
-        cli.main(args)  # second run replays the captured trace
+        cli.main(args)  # second run finds the capture current and keeps it
         assert capsys.readouterr().out == first
 
     def test_run_csv_output(self, tmp_path, capsys):

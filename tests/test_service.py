@@ -231,6 +231,51 @@ class TestSweepManager:
         assert payload["simulator_version"] == "test-version-1"
 
 
+# -------------------------------------------------------- trace sources
+class TestServiceTraceSources:
+    """Service sweeps use the catalog trace sources, so they share cache
+    entries with the CLI experiments instead of keying every trace by
+    content in the parent."""
+
+    def test_every_compiled_source_carries_a_signature(self):
+        from repro.cpu.workloads import full_suite
+        from repro.scenarios import scenarios
+        from repro.service.manager import compile_request
+
+        names = list(dict.fromkeys(
+            [spec.name for spec in scenarios()] + [spec.name for spec in full_suite()]
+        ))
+        plan = compile_request(canonicalize_request(
+            {"systems": ["L2-256KB"], "scenarios": names, "instructions": 500}
+        ))
+        assert len(plan.traces) == len(names)
+        assert all(source.signature is not None for source in plan.traces.values())
+
+    def test_service_sweep_then_cli_run_suite_simulates_nothing(
+        self, tmp_path, pinned_version
+    ):
+        from repro.service.manager import _resolve_spec, compile_request, system_registry
+        from repro.sim.plan import collect_stats
+        from repro.sim.runner import run_suite
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        canonical = canonicalize_request({
+            "systems": ["L2-256KB", "LN2-72KB"],
+            "scenarios": ["mcf-like", "kv-zipf-hot"],
+            "instructions": 600,
+        })
+        served = execute(compile_request(canonical), cache=cache)
+        assert served.stats.simulated == 4
+        registry = system_registry()
+        builders = {name: registry[name] for name in canonical["systems"]}
+        specs = [_resolve_spec(name) for name in canonical["scenarios"]]
+        with collect_stats() as stats:
+            results = run_suite(builders, specs, 600, cache=cache, workers=1)
+        assert stats.simulated == 0 and stats.cached == 4
+        assert [(r.system, r.workload, r.ipc, r.cycles, r.activity) for r in results] == [
+            (r.system, r.workload, r.ipc, r.cycles, r.activity) for r in served.results
+        ]
+
 # ------------------------------------------------------------------ HTTP wire
 def _request(base: str, method: str, path: str, body=None, timeout=120):
     data = None if body is None else json.dumps(body).encode("utf-8")

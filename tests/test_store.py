@@ -250,10 +250,42 @@ class TestStoreSchema:
         with pytest.raises(StoreSchemaError, match="schema 999"):
             ResultStore(path)
 
-    def test_migrate_is_the_designated_stub(self, tmp_path):
-        store = ResultStore(str(tmp_path / "results.sqlite"))
-        with pytest.raises(NotImplementedError, match=str(STORE_SCHEMA)):
-            store.migrate()
+    def test_schema_1_store_opens_after_migrate(self, tmp_path):
+        """Schema-1 rows carry content digests: they are refused, then
+        migrated with their digests cleared and every row kept."""
+        assert STORE_SCHEMA == 2
+        path = str(tmp_path / "results.sqlite")
+        store = ResultStore(path)
+        meta = {"builder_digest": "b" * 64, "trace_digest": "t" * 64,
+                "simulator_version": "v1"}
+        for index in range(3):
+            store.put(f"{index}" * 64, _dummy_result(f"wl{index}"), meta=meta)
+        store.close()
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema'")
+        conn.close()
+        with pytest.raises(StoreSchemaError, match="schema 1"):
+            ResultStore(path)
+        ResultStore.migrate(path)
+        migrated = ResultStore(path)
+        rows = migrated.query(label="dummy")
+        assert sorted(row["workload"] for row in rows) == ["wl0", "wl1", "wl2"]
+        assert all(row["trace_digest"] is None for row in rows)
+        assert migrated.get("0" * 64).workload == "wl0"
+        assert migrated.compare("v1", "v1") == []
+        ResultStore.migrate(path)  # already current: a no-op
+        assert ResultStore(path).stats()["rows"] == 3
+
+    def test_migrate_refuses_an_unknown_schema(self, tmp_path):
+        path = str(tmp_path / "results.sqlite")
+        ResultStore(path).close()
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET value = '999' WHERE key = 'schema'")
+        conn.close()
+        with pytest.raises(StoreSchemaError, match="cannot migrate"):
+            ResultStore.migrate(path)
 
 
 # --------------------------------------------------------------- concurrency

@@ -362,13 +362,13 @@ def _result_entries(cache):
 
 
 class TestSingleCheckpoint:
-    """A sweep's only on-disk checkpoint is its fsync'd cache entries;
-    beside them the cache directory holds only the trace pool."""
+    """A sweep's only on-disk checkpoint is its fsync'd cache entries,
+    and the cache directory holds nothing else."""
 
     def test_cached_sweep_writes_only_cache_entries(self, cache):
         compiled = small_plan()
         execute(compiled, cache=cache)
-        assert sorted(os.listdir(cache.directory)) == ["results", "traces"]
+        assert sorted(os.listdir(cache.directory)) == ["results"]
         entries = _result_entries(cache)
         assert len(entries) == len(compiled.jobs)
         assert all(name.endswith(".json") for name in entries)
@@ -377,7 +377,7 @@ class TestSingleCheckpoint:
         compiled = small_plan()
         run = execute(compiled, cache=cache, workers=2, supervision=FAST)
         assert not run.failures
-        assert sorted(os.listdir(cache.directory)) == ["results", "traces"]
+        assert sorted(os.listdir(cache.directory)) == ["results"]
         entries = _result_entries(cache)
         assert len(entries) == len(compiled.jobs)
         assert all(name.endswith(".json") for name in entries)

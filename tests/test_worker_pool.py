@@ -1,21 +1,15 @@
-"""Differential tests for the shared-state parallel execution substrate.
+"""Differential tests for the persistent worker pool.
 
-Two layers, one contract — bit-identical to sequential by construction:
-
-* the **persistent worker pool**: workers outlive ``execute()`` calls,
-  are reused across sweeps (and across concurrent sweeps from threads —
-  the old ``_FORK_LOCK`` is gone), and are recycled per supervision
-  policy without changing a single result;
-* the **mmap trace path**: a pooled ``.lntr`` capture replayed through
-  ``mmap`` decodes to exactly the bytes, digest, and instructions of the
-  eager loader (``REPRO_NO_MMAP=1`` fallback included).
+Workers outlive ``execute()`` calls, are reused across sweeps (and across
+concurrent sweeps from threads — the old ``_FORK_LOCK`` is gone), and are
+recycled per supervision policy without changing a single result: the
+pool is bit-identical to sequential execution by construction.
 """
 
 import threading
 
 import pytest
 
-from repro.scenarios.tracefile import MappedTrace, load_trace, map_trace, records_bytes
 from repro.sim import faults, plan
 from repro.sim.configs import (
     conventional_spec,
@@ -27,13 +21,10 @@ from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.plan import (
     ExecutionStats,
     SupervisionPolicy,
-    TracePool,
     compile_sweep,
     configure_worker_pool,
     execute,
     shutdown_worker_pool,
-    trace_digest,
-    trace_source_for,
     worker_pool_stats,
 )
 
@@ -190,14 +181,15 @@ class TestPersistentPool:
         assert text.endswith("job_s=0.000")
         assert "snapshot_clones=" not in text
         assert "resumed_from_journal=" not in text
+        assert "pool_loads=" not in text
 
     def test_add_sums_pool_counters(self):
         total = ExecutionStats()
-        part = ExecutionStats(pool_reused=2, pool_loads=3, job_s=0.25)
+        part = ExecutionStats(pool_reused=2, inflight_hits=3, job_s=0.25)
         total.add(part)
         total.add(part)
         assert total.pool_reused == 4
-        assert total.pool_loads == 6
+        assert total.inflight_hits == 6
         assert total.job_s == 0.5
 
     @pytest.mark.parametrize("counter", ["retries", "timeouts", "quarantined"])
@@ -208,7 +200,7 @@ class TestPersistentPool:
     def test_hits_and_pool_counters_are_not_degraded(self):
         stats = ExecutionStats(
             jobs=6, simulated=1, cached=2, store_hits=1, inflight_hits=2,
-            pool_loads=1, pool_saves=1, pool_reused=3, workers_effective=2,
+            pool_reused=3, workers_effective=2,
             job_s=1.5,
         )
         assert not stats.degraded()
@@ -221,44 +213,3 @@ class TestPersistentPool:
             "idle", "forked", "reused", "recycled", "discarded",
         }
         assert payload["executor"]["pool_reused"] == 0
-
-
-class TestMappedTraces:
-    def test_map_trace_matches_load_trace(self, tmp_path):
-        source = trace_source_for(two_workloads()[0], TINY)
-        pool = TracePool(str(tmp_path / "pool"))
-        pool.fetch(source)  # synthesizes and saves the .lntr capture
-        path = pool.path_for(source)
-        eager = load_trace(path)
-        mapped = map_trace(path)
-        assert isinstance(mapped, MappedTrace)
-        assert len(mapped) == len(eager.instructions)
-        assert records_bytes(mapped) == records_bytes(eager)
-        assert trace_digest(mapped) == trace_digest(eager)
-        assert mapped.instructions == eager.instructions  # lazy decode
-
-    def test_no_mmap_env_falls_back_bit_identically(self, tmp_path, monkeypatch):
-        source = trace_source_for(two_workloads()[0], TINY)
-        pool = TracePool(str(tmp_path / "pool"))
-        pool.fetch(source)
-        path = pool.path_for(source)
-        mapped = map_trace(path)
-        monkeypatch.setenv("REPRO_NO_MMAP", "1")
-        fallback = map_trace(path)
-        assert not isinstance(fallback, MappedTrace)
-        assert records_bytes(fallback) == records_bytes(mapped)
-        assert fallback.instructions == mapped.instructions
-
-    def test_pooled_sweep_identical_with_and_without_mmap(
-        self, tmp_path, monkeypatch
-    ):
-        builders = {"L2-256KB": conventional_spec()}
-        compiled = compile_sweep(builders, two_workloads(), TINY)
-        pool = TracePool(str(tmp_path / "pool"))
-        execute(compiled, pool=pool, trace_memo=False)  # populates the pool
-        mapped = execute(compiled, pool=pool, trace_memo=False)
-        assert mapped.stats.pool_loads == len(two_workloads())
-        monkeypatch.setenv("REPRO_NO_MMAP", "1")
-        eager = execute(compiled, pool=pool, trace_memo=False)
-        assert eager.stats.pool_loads == len(two_workloads())
-        assert_identical(mapped.results, eager.results)
